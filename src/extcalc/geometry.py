@@ -5,14 +5,14 @@ integration, the Gauss map / shape operator / Gauss curvature of parametric
 surfaces, Gauss-Bonnet, hypersurface area via the contracted volume form,
 and the Gauss linking integral.
 
-The shape operator is computed numerically (central differences of the unit
-normal, projected to the tangent frame through the first fundamental form);
-its determinant is the Gauss curvature, which is orientation-independent.
+Curvature is exact up to rounding: the first and second derivatives of a
+surface parametrization are differentiated symbolically once per map and
+evaluated at the nodes.  K = (LN - M^2)/(EG - F^2), and the shape operator
+is -I^{-1} II, whose determinant K does not depend on the orientation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +26,9 @@ from .errors import (
     SingularityError,
 )
 from .forms import DifferentialForm, angular_form
-from .integrate import _axis_rule, boundary, integrate, integrate_cell
+from .integrate import boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
-from .scalar import variable
+from .scalar import evaluate_columns, variable
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,8 @@ class Loop:
 
     def sample(self, count: int) -> np.ndarray:
         (a, b), = self.cell.box
-        fns = [c.compiled() for c in self.cell.mapping.components]
         ts = np.linspace(a, b, count, endpoint=False)
-        return np.array([[f([t]) for f in fns] for t in ts])
+        return evaluate_columns(self.cell.mapping.components, [ts]).T
 
 
 _GUARD_SAMPLES = 1024
@@ -76,12 +75,9 @@ def winding_number(loop: Loop, spec=32, min_distance_factor=1e-3):
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
-    extent = max(1.0, _loop_extent(pts))
-    dist = np.sqrt(np.sum(pts * pts, axis=1))
-    if dist.min() < min_distance_factor * extent:
-        raise SingularityError(
-            f"loop comes within {dist.min():.3e} of the origin"
-        )
+    gap = _min_distance(pts, np.zeros((1, 2)))
+    if gap < min_distance_factor * max(1.0, _loop_extent(pts)):
+        raise SingularityError(f"loop comes within {gap:.3e} of the origin")
     value = integrate_cell(angular_form(), loop.cell, spec) / (2 * math.pi)
     return value, round(value)
 
@@ -126,10 +122,8 @@ def local_degree_sign(f: SmoothMap, cell: Cell, params, codomain_cell: Cell, cod
     """
     tangents = np.array(cell.mapping.jacobian_at(list(params)))  # 3 x 2
     pushed = np.array(f.jacobian_at(cell.mapping(list(params)))) @ tangents
-    n_dom = _unit_normal_from_jacobian(tangents) * cell.orientation
-    dom_det = np.linalg.det(np.column_stack([n_dom, tangents[:, 0], tangents[:, 1]]))
-    cod_tangents = np.array(codomain_cell.mapping.jacobian_at(list(codomain_params)))
-    n_cod = _unit_normal_from_jacobian(cod_tangents) * codomain_cell.orientation
+    dom_det = area_form_evaluator(cell)(params)
+    n_cod = gauss_map(codomain_cell, codomain_params)
     img_det = np.linalg.det(np.column_stack([n_cod, pushed[:, 0], pushed[:, 1]]))
     return int(np.sign(dom_det * img_det))
 
@@ -138,41 +132,59 @@ def local_degree_sign(f: SmoothMap, cell: Cell, params, codomain_cell: Cell, cod
 # Curvature
 
 
-def _unit_normal_from_jacobian(jac: np.ndarray) -> np.ndarray:
-    cross = np.cross(jac[:, 0], jac[:, 1])
-    norm = np.linalg.norm(cross)
-    if norm < 1e-12:
-        raise RankDeficientError("parametrization is rank-deficient here")
-    return cross / norm
+_HERE = "parametrization is rank-deficient here"
+
+
+def _point(params):
+    return [np.array([float(p)]) for p in params]
+
+
+def _surface_frame(cell: Cell, cols, rank_message=_HERE):
+    """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
+    the area element |r_s x r_t| at the nodes; the first node with an area
+    element below 1e-12 raises RankDeficientError(rank_message.format(node=...))."""
+    if cell.k != 2 or cell.ambient != 3:
+        raise DimensionMismatch("Gauss map needs a surface cell in R^3")
+    exprs = [row[j] for j in (0, 1) for row in cell.mapping.jacobian()]
+    r_s, r_t = evaluate_columns(exprs, cols).reshape(2, 3, -1)
+    cross = np.cross(r_s, r_t, axis=0)
+    area = np.sqrt(np.sum(cross * cross, axis=0))
+    bad = np.flatnonzero(area < 1e-12)
+    if bad.size:
+        node = tuple(float(c[bad[0]]) for c in cols)
+        raise RankDeficientError(rank_message.format(node=node))
+    return r_s, r_t, cell.orientation * cross / area, area
+
+
+def _second_partials(cell: Cell, cols):
+    """Exact r_ss, r_st, r_tt at the nodes, each a 3 x n array."""
+    pairs = ((0, 0), (0, 1), (1, 1))
+    exprs = [h[j][l] for j, l in pairs for h in cell.mapping.hessian()]
+    return evaluate_columns(exprs, cols).reshape(3, 3, -1)
 
 
 def gauss_map(cell: Cell, params) -> np.ndarray:
     """Outward unit normal of an oriented surface cell at parameter values."""
-    if cell.k != 2 or cell.ambient != 3:
-        raise DimensionMismatch("Gauss map needs a surface cell in R^3")
-    jac = np.array(cell.mapping.jacobian_at(list(params)))
-    return _unit_normal_from_jacobian(jac) * cell.orientation
+    return _surface_frame(cell, _point(params))[2][:, 0]
 
 
-def shape_operator(cell: Cell, params, step=1e-5) -> np.ndarray:
-    """The derivative of the Gauss map in the tangent frame (2x2 matrix)."""
-    s, t = params
-    jac = np.array(cell.mapping.jacobian_at([s, t]))
-    t_s, t_t = jac[:, 0], jac[:, 1]
-    dn_s = (gauss_map(cell, (s + step, t)) - gauss_map(cell, (s - step, t))) / (
-        2 * step
-    )
-    dn_t = (gauss_map(cell, (s, t + step)) - gauss_map(cell, (s, t - step))) / (
-        2 * step
-    )
-    gram = np.array([[t_s @ t_s, t_s @ t_t], [t_t @ t_s, t_t @ t_t]])
-    mixed = np.array([[t_s @ dn_s, t_s @ dn_t], [t_t @ dn_s, t_t @ dn_t]])
-    return np.linalg.solve(gram, mixed)
+def shape_operator(cell: Cell, params) -> np.ndarray:
+    """The derivative of the Gauss map in the tangent frame (2x2 matrix).
+
+    Differentiating n . r_s = n . r_t = 0 gives r_i . n_j = -II_ij, so the
+    operator is -I^{-1} II.
+    """
+    cols = _point(params)
+    r_s, r_t, normal, _ = _surface_frame(cell, cols)
+    tangents = (r_s[:, 0], r_t[:, 0])
+    first = [[a @ b for b in tangents] for a in tangents]
+    l, m, n = (r[:, 0] @ normal[:, 0] for r in _second_partials(cell, cols))
+    return -np.linalg.solve(first, [[l, m], [m, n]])
 
 
-def gauss_curvature(cell: Cell, params, step=1e-5) -> float:
+def gauss_curvature(cell: Cell, params) -> float:
     """det of the shape operator; independent of the chosen orientation."""
-    return float(np.linalg.det(shape_operator(cell, params, step)))
+    return float(np.linalg.det(shape_operator(cell, params)))
 
 
 @dataclass
@@ -192,9 +204,7 @@ class Surface:
     def validate_closed(self, spec=16):
         """Integrate a fixed 1-form over the total boundary; near zero for a
         closed surface (seams cancel)."""
-        from .scalar import variable as v
-
-        x, y, z = v(0), v(1), v(2)
+        x, y, z = variable(0), variable(1), variable(2)
         # includes a circulation term (x dy) so open equatorial seams register
         probe = DifferentialForm(
             3, 1, {(0,): y * z + x, (1,): x * z - y * y + x, (2,): x * y * z}
@@ -209,27 +219,30 @@ class Surface:
         return total
 
 
-def _surface_nodes(cell: Cell, q: int):
-    rules = [_axis_rule(a, b, q) for a, b in cell.box]
-    return itertools.product(*rules)
+def _surface_integral(surface: Surface, spec, density) -> float:
+    """Quadrature of density(cell, cols) over every cell, summed in order."""
+    q = quad_points(spec)
+    total = 0.0
+    for cell in surface.cells:
+        cols, weights = box_rule(cell.box, q)
+        total += float(np.sum(weights * density(cell, cols)))
+    return total
 
 
-def gauss_bonnet_check(surface: Surface, spec=24, step=1e-5):
+def _curvature_density(cell: Cell, cols):
+    """K dA at the nodes: K = (LN - M^2)/(EG - F^2) (do Carmo, Differential
+    Geometry of Curves and Surfaces, 1976, section 3-3), EG - F^2 = dA^2."""
+    r_s, r_t, normal, area = _surface_frame(cell, cols, "rank-deficient node {node}")
+    l, m, n = (np.sum(r * normal, axis=0) for r in _second_partials(cell, cols))
+    return (l * n - m * m) / area
+
+
+def gauss_bonnet_check(surface: Surface, spec=24):
     """Quadrature of K dA over the surface against 2 pi chi.
 
     Returns (integral, expected, residual).
     """
-    q = quad_points(spec)
-    total = 0.0
-    for cell in surface.cells:
-        for combo in _surface_nodes(cell, q):
-            (s, ws), (t, wt) = combo
-            jac = np.array(cell.mapping.jacobian_at([s, t]))
-            area = np.linalg.norm(np.cross(jac[:, 0], jac[:, 1]))
-            if area < 1e-12:
-                raise RankDeficientError(f"rank-deficient node ({s}, {t})")
-            k = gauss_curvature(cell, (s, t), step)
-            total += ws * wt * k * area
+    total = _surface_integral(surface, spec, _curvature_density)
     expected = 2 * math.pi * surface.chi
     return total, expected, abs(total - expected)
 
@@ -239,48 +252,32 @@ def area_form_evaluator(cell: Cell):
 
     Returns f(params) = dV(n, d psi/ds, d psi/dt), the coefficient of the
     area form pulled back to the parameter box; integrating it over the box
-    gives the (oriented) surface area.
+    gives the (oriented) surface area: orientation * |r_s x r_t|.
     """
-
-    def evaluate(params):
-        jac = np.array(cell.mapping.jacobian_at(list(params)))
-        n = gauss_map(cell, params)
-        return float(
-            np.linalg.det(np.column_stack([n, jac[:, 0], jac[:, 1]]))
-        )
-
-    return evaluate
+    return lambda params: cell.orientation * float(_surface_frame(cell, _point(params))[3][0])
 
 
 def surface_area(surface: Surface, spec=24) -> float:
     """Total area: integral of the contracted volume form over all cells."""
-    q = quad_points(spec)
-    total = 0.0
-    for cell in surface.cells:
-        f = area_form_evaluator(cell)
-        for combo in _surface_nodes(cell, q):
-            (s, ws), (t, wt) = combo
-            total += ws * wt * f((s, t)) * cell.orientation
-    return total
+    return _surface_integral(surface, spec, lambda cell, cols: _surface_frame(cell, cols)[3])
 
 
-def gauss_map_area_pullback(surface: Surface, spec=24, step=1e-5) -> float:
+def _pullback_density(cell: Cell, cols):
+    """det[n, n_s, n_t] at the nodes.  With c = r_s x r_t the normal is
+    n = c/|c| and n_j = (c_j - n (n . c_j))/|c|, where
+    c_s = r_ss x r_t + r_s x r_st and c_t = r_st x r_t + r_s x r_tt; the
+    normal parts drop out of the determinant, leaving n . (c_s x c_t)/|c|^2."""
+    r_s, r_t, normal, area = _surface_frame(cell, cols)
+    r_ss, r_st, r_tt = _second_partials(cell, cols)
+    c_s = np.cross(r_ss, r_t, axis=0) + np.cross(r_s, r_st, axis=0)
+    c_t = np.cross(r_st, r_t, axis=0) + np.cross(r_s, r_tt, axis=0)
+    return np.sum(normal * np.cross(c_s, c_t, axis=0), axis=0) / (area * area)
+
+
+def gauss_map_area_pullback(surface: Surface, spec=24) -> float:
     """Integral over the surface of the Gauss-map pullback of the sphere
     area form; equals the total curvature integral."""
-    q = quad_points(spec)
-    total = 0.0
-    for cell in surface.cells:
-        for combo in _surface_nodes(cell, q):
-            (s, ws), (t, wt) = combo
-            n = gauss_map(cell, (s, t))
-            dn_s = (
-                gauss_map(cell, (s + step, t)) - gauss_map(cell, (s - step, t))
-            ) / (2 * step)
-            dn_t = (
-                gauss_map(cell, (s, t + step)) - gauss_map(cell, (s, t - step))
-            ) / (2 * step)
-            total += ws * wt * np.linalg.det(np.column_stack([n, dn_s, dn_t]))
-    return total
+    return _surface_integral(surface, spec, _pullback_density)
 
 
 # ---------------------------------------------------------------------------
@@ -302,39 +299,40 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32, min_distance_factor=1e-3):
     guard1 = loop1.sample(_GUARD_SAMPLES)
     guard2 = loop2.sample(_GUARD_SAMPLES)
     scale = max(_loop_extent(guard1), _loop_extent(guard2))
-    gaps = guard1[:, None, :] - guard2[None, :, :]
-    min_gap = float(np.sqrt(np.min(np.sum(gaps * gaps, axis=2))))
+    min_gap = _min_distance(guard1, guard2)
     if min_gap < min_distance_factor * scale:
         raise SingularityError(
             f"loops come within {min_gap:.3e} of each other; "
             "the linking integrand is nearly singular"
         )
-    pos1, vel1 = _loop_tables(loop1, q)
-    pos2, vel2 = _loop_tables(loop2, q)
+    pos1, vel1, w1 = _loop_tables(loop1, q)
+    pos2, vel2, w2 = _loop_tables(loop2, q)
     diff = pos1[:, None, :] - pos2[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    total = 0.0
-    w1 = loop1.cell.orientation
-    w2 = loop2.cell.orientation
-    for i in range(q):
-        for j in range(q):
-            kern = np.linalg.det(
-                np.column_stack([vel1[i][1], vel2[j][1], diff[i, j]])
-            ) / dist[i, j] ** 3
-            total += vel1[i][0] * vel2[j][0] * kern
-    value = float(w1 * w2 * total / (4 * math.pi))
+    # det[g1', g2', diff] as the triple product diff . (g1' x g2')
+    triple = np.sum(np.cross(vel1[:, None, :], vel2[None, :, :]) * diff, axis=2)
+    total = float(np.sum(np.outer(w1, w2) * (triple / dist**3)))
+    value = loop1.cell.orientation * loop2.cell.orientation * total / (4 * math.pi)
     return value, round(value)
 
 
+def _min_distance(points1, points2) -> float:
+    """Least distance between two point sets, 128 rows at a time."""
+    least = math.inf
+    for block in np.split(points1, range(128, len(points1), 128)):
+        squares = sum((block[:, None, i] - c) ** 2 for i, c in enumerate(points2.T))
+        least = min(least, float(squares.min()))
+    return math.sqrt(least)
+
+
 def _loop_tables(loop: Loop, q: int):
-    (a, b), = loop.cell.box
-    comps = loop.cell.mapping.components
-    fns = [c.compiled() for c in comps]
-    dfns = [c.differentiate(0).compiled() for c in comps]
-    rule = _axis_rule(a, b, q)
-    pos = np.array([[f([t]) for f in fns] for t, _ in rule])
-    vel = [(w, np.array([df([t]) for df in dfns])) for t, w in rule]
-    return pos, vel
+    """Positions and velocities (q x m arrays) at the Gauss-Legendre nodes,
+    and the node weights."""
+    cols, weights = box_rule(loop.cell.box, q)
+    mapping = loop.cell.mapping
+    exprs = list(mapping.components) + [row[0] for row in mapping.jacobian()]
+    values = evaluate_columns(exprs, cols)
+    return values[:mapping.m].T, values[mapping.m:].T, weights
 
 
 def _loop_extent(points: np.ndarray) -> float:

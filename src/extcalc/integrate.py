@@ -2,14 +2,15 @@
 
 The semantics is the limit of Riemann sums over parameter boxes; the
 evaluator is tensor-product Gauss-Legendre quadrature applied to the single
-coefficient of the pulled-back form.  Quadrature nodes are summed in
-lexicographic order and chain terms in list order, so results are
+coefficient of the pulled-back form; ``box_rule`` lays out the nodes of
+every quadrature in the package.  Node contributions are summed by ``np.sum``
+in lexicographic order and chain terms in list order, so results are
 bit-reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,19 +19,29 @@ from .cells import Cell, Chain, PointChain, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
 from .maps import freeze_axis, pullback
+from .scalar import evaluate_columns
 
 
 @lru_cache(maxsize=None)
 def _leggauss(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
-    return tuple(x.tolist()), tuple(w.tolist())
+    return np.polynomial.legendre.leggauss(q)
 
 
-def _axis_rule(a: float, b: float, q: int):
+def box_rule(box, q: int):
+    """Tensor-product Gauss-Legendre rule with q points per axis: one array
+    per axis with the q^k nodes in lexicographic order (first axis slowest),
+    and their weights, each the product of the axis weights in axis order."""
     x, w = _leggauss(q)
-    half = (b - a) / 2.0
-    mid = (b + a) / 2.0
-    return [(mid + half * xi, half * wi) for xi, wi in zip(x, w)]
+    k = len(box)
+    cols = []
+    weights = np.ones(1)
+    for i, (a, b) in enumerate(box):
+        half = (b - a) / 2.0
+        col = np.empty((q**i, q, q ** (k - 1 - i)))
+        col[...] = ((b + a) / 2.0 + half * x)[:, None]
+        cols.append(col.ravel())
+        weights = np.multiply.outer(weights, half * w).ravel()
+    return cols, weights
 
 
 def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
@@ -48,21 +59,14 @@ def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
     coeff = pulled.terms.get(tuple(range(cell.k)))
     if coeff is None:
         return 0.0
-    f = coeff.compiled()
-    rules = [_axis_rule(a, b, q) for a, b in cell.box]
-    total = 0.0
-    for combo in itertools.product(*rules):
-        point = [c[0] for c in combo]
-        weight = 1.0
-        for c in combo:
-            weight *= c[1]
-        try:
-            total += weight * f(point)
-        except SingularityError as err:
-            raise SingularityError(
-                f"integrand singular at quadrature node {tuple(point)}: {err}"
-            ) from err
-    return cell.orientation * total
+    cols, weights = box_rule(cell.box, q)
+    try:
+        (values,) = evaluate_columns([coeff], cols)
+    except SingularityError as err:
+        raise SingularityError(
+            f"integrand singular at quadrature node {err.node}: {err}"
+        ) from err
+    return cell.orientation * float((weights * values).sum())
 
 
 def integrate_points(form: DifferentialForm, pc: PointChain) -> float:
@@ -129,18 +133,12 @@ def boundary(domain):
         a, b = cell.box[j]
         rest = cell.box[:j] + cell.box[j + 1:]
         for value, sign in ((b, upper_sign), (a, -upper_sign)):
-            face_map = freeze_axis(cell.mapping, j, _to_fraction(value))
+            # floats are exact binary rationals, so Fraction(value) loses nothing
+            face_map = freeze_axis(cell.mapping, j, Fraction(value))
             faces.append(
                 (sign * cell.orientation, Cell(rest, face_map, 1))
             )
     return Chain(faces)
-
-
-def _to_fraction(x: float):
-    # floats are exact binary rationals, so this loses nothing
-    from fractions import Fraction
-
-    return Fraction(x)
 
 
 def stokes_check(form: DifferentialForm, domain, spec=16):

@@ -10,7 +10,7 @@ from .scalar import ScalarExpr, as_expr, variable
 class SmoothMap:
     """A map R^n -> R^m given by m component expressions in n variables."""
 
-    __slots__ = ("n", "m", "components", "_fns", "_jac", "_jac_fns")
+    __slots__ = ("n", "m", "components", "_fns", "_jac", "_jac_fns", "_hess")
 
     def __init__(self, n, m, components):
         components = tuple(as_expr(c) for c in components)
@@ -27,6 +27,7 @@ class SmoothMap:
         self._fns = None
         self._jac = None
         self._jac_fns = None
+        self._hess = None
 
     @staticmethod
     def identity(n):
@@ -62,6 +63,15 @@ class SmoothMap:
                 for c in self.components
             )
         return self._jac
+
+    def hessian(self):
+        """Symbolic second derivatives: entry (i, j, l) = d^2 g_i / dx_j dx_l."""
+        if self._hess is None:
+            self._hess = tuple(
+                tuple(tuple(d.differentiate(l) for l in range(self.n)) for d in row)
+                for row in self.jacobian()
+            )
+        return self._hess
 
     def jacobian_at(self, point):
         if self._jac_fns is None:

@@ -26,6 +26,7 @@ the symbolic layer stays exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -381,7 +382,9 @@ def _coerce_fraction(x):
 class ScalarExpr:
     """Immutable symbolic scalar in canonical num/den normal form."""
 
-    __slots__ = ("_num", "_den", "_key", "_hash", "_axes", "_compiled", "_str")
+    __slots__ = (
+        "_num", "_den", "_key", "_hash", "_axes", "_compiled", "_columns", "_str"
+    )
 
     def __init__(self, num, den, key):
         self._num = num
@@ -390,6 +393,7 @@ class ScalarExpr:
         self._hash = hash(key)
         self._axes = None
         self._compiled = None
+        self._columns = None
         self._str = None
 
     # -- construction -------------------------------------------------------
@@ -605,8 +609,19 @@ class ScalarExpr:
     def compiled(self):
         """A fast float evaluator ``f(point) -> float`` for this expression."""
         if self._compiled is None:
-            self._compiled = _compile(self)
+            self._compiled = _compile(self, _EVAL_GLOBALS)
         return self._compiled
+
+    def compiled_columns(self):
+        """The same generated code run over numpy columns: ``f(cols)`` takes
+        one float array per axis and returns the values at every node (a
+        scalar for a constant expression).  Where a division, ln or sqrt
+        guard would trip at some node, it raises the SingularityError the
+        scalar evaluator raises; other faults surface as inf/nan, so call it
+        under ``np.errstate(all="ignore")`` and check the result."""
+        if self._columns is None:
+            self._columns = _compile(self, _column_globals())
+        return self._columns
 
     # -- presentation ---------------------------------------------------------
 
@@ -880,12 +895,68 @@ class _CodeGen:
         return f"_div({num}, {den})"
 
 
-def _compile(e: ScalarExpr):
+def evaluate_columns(exprs, cols):
+    """Values of the expressions at every node, an array of shape
+    (len(exprs), nodes); cols holds one float array per axis.
+
+    The expressions run as numpy column code.  If a guard trips or a value
+    is not finite, the nodes are evaluated again one at a time, in order,
+    with the scalar evaluators: a failure then raises exactly what the
+    scalar evaluator raises at the first bad node, and a SingularityError
+    carries that node as its ``node`` attribute.
+    """
+    import numpy as np
+
+    count = len(cols[0])
+    try:
+        with np.errstate(all="ignore"):
+            values = [e.compiled_columns()(cols) for e in exprs]
+        # a constant expression evaluates to a scalar
+        values = np.array([v if np.ndim(v) else np.full(count, v) for v in values])
+        if np.isfinite(values).all():
+            return values
+    except SingularityError:
+        pass
+    fns = [e.compiled() for e in exprs]
+    rows = []
+    for point in zip(*(c.tolist() for c in cols)):
+        try:
+            rows.append([f(point) for f in fns])
+        except SingularityError as err:
+            err.node = point
+            raise
+    return np.array(rows).T
+
+
+@functools.cache
+def _column_globals():
+    import numpy as np
+
+    def _div(a, b):
+        if np.any(b == 0.0):
+            raise SingularityError("division by zero during evaluation")
+        return a / b
+
+    def _ln(u):
+        if np.any(u <= 0.0):
+            raise SingularityError("ln of a non-positive value")
+        return np.log(u)
+
+    def _sqrt(u):
+        if np.any(u < 0.0):
+            raise SingularityError("sqrt of a negative value")
+        return np.sqrt(u)
+
+    return {"_div": _div, "_ln": _ln, "_sqrt": _sqrt,
+            "_exp": np.exp, "_sin": np.sin, "_cos": np.cos}
+
+
+def _compile(e: ScalarExpr, namespace):
     gen = _CodeGen()
     result = gen.expr_src(e)
     body = "\n    ".join(gen.lines + [f"return {result}"])
     src = f"def _f(p):\n    {body}\n"
-    namespace = dict(_EVAL_GLOBALS)
+    namespace = dict(namespace)
     exec(src, namespace)  # noqa: S102 - generated from canonical form only
     return namespace["_f"]
 

@@ -184,7 +184,7 @@ class TestCurvature:
     def test_unit_sphere(self):
         cell = sh.sphere_cell()
         for params in ((1.0, 2.0), (0.4, 5.0), (2.4, 0.3)):
-            assert abs(gauss_curvature(cell, params) - 1.0) <= 1e-6
+            assert abs(gauss_curvature(cell, params) - 1.0) <= 1e-12
 
     def test_gauss_map_is_radial_on_sphere(self):
         cell = sh.sphere_cell()
@@ -195,7 +195,7 @@ class TestCurvature:
 
     def test_shape_operator_identity_on_sphere(self):
         s = shape_operator(sh.sphere_cell(), (1.0, 1.5))
-        assert np.allclose(s, np.eye(2), atol=1e-6)
+        assert np.allclose(s, np.eye(2), rtol=0, atol=1e-12)
 
     def test_hyperbolic_paraboloid_negative_both_orientations(self):
         u, v = S.variable(0), S.variable(1)
@@ -204,7 +204,7 @@ class TestCurvature:
         k_plus = gauss_curvature(cell, (0.0, 0.0))
         k_minus = gauss_curvature(cell.flipped(), (0.0, 0.0))
         assert k_plus < 0 and k_minus < 0
-        assert abs(k_plus - k_minus) <= 1e-8
+        assert abs(k_plus - k_minus) <= 1e-12
 
     def test_elliptic_paraboloid_positive(self):
         u, v = S.variable(0), S.variable(1)
@@ -231,7 +231,14 @@ class TestCurvature:
             ) / (4 * h**2)
             oracle = fxx * fyy - fxy**2
             assert abs(oracle - (4 * a * c - b * b)) <= 1e-5
-            assert abs(k - (4 * a * c - b * b)) <= 1e-5
+            assert abs(k - (4 * a * c - b * b)) <= 1e-12
+
+    def test_torus_closed_form(self):
+        big, small = 2, 1
+        cell = sh.torus_cell(big, small)
+        for u, v in ((0.3, 0.7), (1.9, 2.5), (4.0, 3.3)):
+            exact = math.cos(v) / (small * (big + small * math.cos(v)))
+            assert abs(gauss_curvature(cell, (u, v)) - exact) <= 1e-12
 
     def test_rank_deficiency_detected(self):
         u, v = S.variable(0), S.variable(1)
@@ -245,18 +252,31 @@ class TestGaussBonnet:
         surface = Surface([sh.sphere_cell()], chi=2)
         total, expected, residual = gauss_bonnet_check(surface, 24)
         assert abs(expected - 4 * math.pi) < 1e-12
-        assert residual <= 1e-4
+        assert residual <= 1e-12
 
     def test_torus_of_revolution(self):
         surface = Surface([sh.torus_cell(2, 1)], chi=0)
         total, expected, residual = gauss_bonnet_check(surface, 24)
         assert expected == 0.0
-        assert residual <= 1e-4
+        assert residual <= 1e-12
+
+    def test_sheared_torus(self):
+        # (u, v) -> (u + v, v) reparametrizes the torus with F and M nonzero;
+        # K dA is unchanged, so the residual stays at round-off
+        u, v = S.variable(0), S.variable(1)
+        ring = 2 + S.cos(v)
+        sheared = SmoothMap(2, 3, [ring * S.cos(u + v), ring * S.sin(u + v), S.sin(v)])
+        surface = Surface([Cell(((0.0, TWO_PI), (0.0, TWO_PI)), sheared)], chi=0)
+        total, expected, residual = gauss_bonnet_check(surface, 24)
+        assert residual <= 1e-12
+        assert abs(gauss_map_area_pullback(surface, 24) - total) <= 1e-12
 
     def test_ellipsoid(self):
         surface = Surface([sh.ellipsoid_cell(1.5, 1.0, 0.75)], chi=2)
         total, expected, residual = gauss_bonnet_check(surface, 24)
         assert residual <= 1e-3
+        residuals = [gauss_bonnet_check(surface, q)[2] for q in (16, 24, 32, 48)]
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
     def test_two_cell_sphere(self):
         mapping = sh.sphere_cell().mapping
@@ -265,18 +285,29 @@ class TestGaussBonnet:
         surface = Surface([upper, lower], chi=2)
         surface.validate_closed()
         total, expected, residual = gauss_bonnet_check(surface, 16)
-        assert residual <= 1e-4
+        assert residual <= 1e-12
 
     def test_open_surface_rejected(self):
         surface = Surface([sh.hemisphere_cell()], chi=1)
         with pytest.raises(ValueError):
             surface.validate_closed()
 
+    def test_rank_deficient_node_is_named(self):
+        # a double cone: rank-deficient where u = 0, the middle node at odd q
+        u, v = S.variable(0), S.variable(1)
+        cone = SmoothMap(2, 3, [u * S.cos(v), u * S.sin(v), u])
+        surface = Surface([Cell(((-1.0, 1.0), (0.0, TWO_PI)), cone)], chi=0)
+        x0 = float(np.polynomial.legendre.leggauss(5)[0][0])
+        first_v = TWO_PI / 2.0 + TWO_PI / 2.0 * x0
+        with pytest.raises(RankDeficientError) as info:
+            gauss_bonnet_check(surface, 5)
+        assert str(info.value) == f"rank-deficient node (0.0, {first_v})"
+
     def test_pullback_of_area_matches_curvature_integral(self):
         surface = Surface([sh.ellipsoid_cell(1.25, 1.0, 0.8)], chi=2)
         lhs = gauss_map_area_pullback(surface, 24)
         rhs, _, _ = gauss_bonnet_check(surface, 24)
-        assert abs(lhs - rhs) <= 1e-4
+        assert abs(lhs - rhs) <= 1e-12
 
 
 class TestAreas:
