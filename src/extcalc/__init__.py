@@ -42,7 +42,6 @@ from .forms import (
     curl,
     d,
     divergence,
-    exterior_derivative,
     flux_form,
     gradient,
     interior_product,

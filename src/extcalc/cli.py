@@ -4,7 +4,8 @@ Verbs: eval, d, wedge, pullback, integrate, stokes, primitive, cohomology,
 mv-solve, winding, linking, degree, gauss-bonnet, explain.
 
 Exit codes: 0 success, 1 domain error (singularity, inconsistency, bad
-geometry), 2 usage or parse error.  ``--json`` switches output to a single
+geometry, overflow, a non-finite result), 2 usage or parse error (including
+non-finite input numbers).  ``--json`` switches output to a single
 machine-readable object.  Numbers print with 12 significant digits and
 residuals in scientific notation, so output is byte-stable across runs.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import cohomology as co
@@ -32,13 +34,34 @@ def fmt_residual(x: float) -> str:
     return f"{float(x):.6e}"
 
 
+def _all_finite(value) -> bool:
+    """True when every number in a (nested) result is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
+def finite(text: str) -> float:
+    """The argparse type of --tol: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_chain(path: str) -> Chain:
     with open(path) as fh:
         data = json.load(fh)
     ambient = data["ambient"]
     terms = []
     for entry in data["cells"]:
-        box = tuple(tuple(pair) for pair in entry["box"])
+        box = tuple(tuple(float(b) for b in pair) for pair in entry["box"])
+        if not all(math.isfinite(b) for pair in box for b in pair):
+            raise ParseError("box bounds must be finite numbers")
         mapping = parse_map_components(entry["map"], len(box))
         if mapping.m != ambient:
             raise ParseError(
@@ -72,6 +95,8 @@ def load_surface(path: str, chi: int) -> geo.Surface:
 
 
 def emit(args, verb, inputs, result, residual=None, text=None):
+    if not (_all_finite(result) and _all_finite(residual)):
+        raise ValueError("the result is not a finite number")
     if args.json:
         payload = {
             "verb": verb,
@@ -95,6 +120,8 @@ def cmd_eval(args):
 
     form = parse_form(args.form, args.dim)
     point = [float(p) for p in args.point.split(",")]
+    if not all(math.isfinite(p) for p in point):
+        raise ParseError("--point values must be finite numbers")
     if form.k == 0:
         coeff = form.terms.get(())
         value = coeff.evaluate(point) if coeff is not None else 0.0
@@ -223,35 +250,33 @@ def cmd_mv_solve(args):
     return 0
 
 
-def cmd_winding(args):
-    loop = load_loop(args.loop)
-    value, nearest = geo.winding_number(loop, args.quad)
+def _emit_integer(args, verb, inputs, value, nearest):
+    """Output of the verbs whose value should lie near an integer."""
     gap = abs(value - nearest)
     emit(
         args,
-        "winding",
-        {"loop": args.loop, "quad": args.quad, "tol": args.tol},
+        verb,
+        inputs,
         {"value": value, "integer": nearest, "verdict": _tol_verdict(gap, args.tol)},
         residual=gap,
-        text=f"winding = {fmt(value)} (integer {nearest}, gap {fmt_residual(gap)})",
+        text=f"{verb} = {fmt(value)} (integer {nearest}, gap {fmt_residual(gap)})",
     )
     return 0
+
+
+def cmd_winding(args):
+    loop = load_loop(args.loop)
+    value, nearest = geo.winding_number(loop, args.quad)
+    inputs = {"loop": args.loop, "quad": args.quad, "tol": args.tol}
+    return _emit_integer(args, "winding", inputs, value, nearest)
 
 
 def cmd_linking(args):
     l1 = load_loop(args.loop1)
     l2 = load_loop(args.loop2)
     value, nearest = geo.linking_number(l1, l2, args.quad)
-    gap = abs(value - nearest)
-    emit(
-        args,
-        "linking",
-        {"loop1": args.loop1, "loop2": args.loop2, "quad": args.quad, "tol": args.tol},
-        {"value": value, "integer": nearest, "verdict": _tol_verdict(gap, args.tol)},
-        residual=gap,
-        text=f"linking = {fmt(value)} (integer {nearest}, gap {fmt_residual(gap)})",
-    )
-    return 0
+    inputs = {"loop1": args.loop1, "loop2": args.loop2, "quad": args.quad, "tol": args.tol}
+    return _emit_integer(args, "linking", inputs, value, nearest)
 
 
 def cmd_degree(args):
@@ -260,16 +285,8 @@ def cmd_degree(args):
     codomain = load_chain(args.codomain)
     testform = parse_form(args.form, codomain.ambient)
     value, nearest = geo.mapping_degree(f, domain, codomain, testform, args.quad)
-    gap = abs(value - nearest)
-    emit(
-        args,
-        "degree",
-        {"map": args.map, "domain": args.domain, "codomain": args.codomain, "tol": args.tol},
-        {"value": value, "integer": nearest, "verdict": _tol_verdict(gap, args.tol)},
-        residual=gap,
-        text=f"degree = {fmt(value)} (integer {nearest}, gap {fmt_residual(gap)})",
-    )
-    return 0
+    inputs = {"map": args.map, "domain": args.domain, "codomain": args.codomain, "tol": args.tol}
+    return _emit_integer(args, "degree", inputs, value, nearest)
 
 
 def cmd_gauss_bonnet(args):
@@ -324,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
         p.add_argument("--quad", type=int, default=16)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=finite, default=1e-8)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         return p
@@ -362,7 +379,10 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ExtcalcError, ValueError, ZeroDivisionError, OSError) as err:
+    except OverflowError as err:
+        print(f"error: numeric overflow ({err})", file=sys.stderr)
+        return 1
+    except (ExtcalcError, ValueError, ZeroDivisionError, RecursionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

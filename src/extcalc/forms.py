@@ -206,10 +206,6 @@ class DifferentialForm:
     def is_closed(self) -> bool:
         return self.d().is_zero()
 
-    def evaluate_coefficients(self, point):
-        """Numeric coefficients {index: float} at a point."""
-        return {idx: c.evaluate(point) for idx, c in self.terms.items()}
-
     # -- presentation ------------------------------------------------------------
 
     def __str__(self):
@@ -252,9 +248,6 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 def d(a: DifferentialForm) -> DifferentialForm:
     return a.d()
-
-
-exterior_derivative = d
 
 
 class VectorFieldSym:

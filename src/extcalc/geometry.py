@@ -36,7 +36,6 @@ class Loop:
     """A closed parametrized curve: a 1-cell whose endpoints coincide."""
 
     cell: Cell
-    closure_tol: float = 1e-12
 
     def __post_init__(self):
         if self.cell.k != 1:
@@ -45,7 +44,7 @@ class Loop:
         pa = self.cell.mapping([a])
         pb = self.cell.mapping([b])
         gap = max(abs(x - y) for x, y in zip(pa, pb))
-        if gap > self.closure_tol:
+        if gap > 1e-12:
             raise ValueError(f"endpoints differ by {gap:.3e}; not a closed loop")
 
     @property
@@ -53,7 +52,7 @@ class Loop:
         return self.cell.ambient
 
     def reversed(self) -> "Loop":
-        return Loop(self.cell.flipped(), self.closure_tol)
+        return Loop(self.cell.flipped())
 
     def sample(self, count: int) -> np.ndarray:
         (a, b), = self.cell.box
@@ -62,21 +61,23 @@ class Loop:
 
 
 _GUARD_SAMPLES = 1024
+# loops closer than this times their extent (sampled densely) are rejected
+_MIN_DISTANCE_FACTOR = 1e-3
 
 
-def winding_number(loop: Loop, spec=32, min_distance_factor=1e-3):
+def winding_number(loop: Loop, spec=32):
     """Winding of a loop in R^2 minus the origin.
 
     Returns (value, nearest integer); value is the loop integral of the
-    angular form divided by 2 pi.  Loops coming within
-    min_distance_factor * extent of the origin (sampled densely) are
-    rejected rather than integrated.
+    angular form divided by 2 pi.  Loops coming within 1e-3 times their
+    extent of the origin (sampled densely) are rejected rather than
+    integrated.
     """
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
     gap = _min_distance(pts, np.zeros((1, 2)))
-    if gap < min_distance_factor * max(1.0, _loop_extent(pts)):
+    if gap < _MIN_DISTANCE_FACTOR * max(1.0, _loop_extent(pts)):
         raise SingularityError(f"loop comes within {gap:.3e} of the origin")
     value = integrate_cell(angular_form(), loop.cell, spec) / (2 * math.pi)
     return value, round(value)
@@ -132,17 +133,14 @@ def local_degree_sign(f: SmoothMap, cell: Cell, params, codomain_cell: Cell, cod
 # Curvature
 
 
-_HERE = "parametrization is rank-deficient here"
-
-
 def _point(params):
     return [np.array([float(p)]) for p in params]
 
 
-def _surface_frame(cell: Cell, cols, rank_message=_HERE):
+def _surface_frame(cell: Cell, cols):
     """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
     the area element |r_s x r_t| at the nodes; the first node with an area
-    element below 1e-12 raises RankDeficientError(rank_message.format(node=...))."""
+    element below 1e-12 raises RankDeficientError naming that node."""
     if cell.k != 2 or cell.ambient != 3:
         raise DimensionMismatch("Gauss map needs a surface cell in R^3")
     exprs = [row[j] for j in (0, 1) for row in cell.mapping.jacobian()]
@@ -152,7 +150,7 @@ def _surface_frame(cell: Cell, cols, rank_message=_HERE):
     bad = np.flatnonzero(area < 1e-12)
     if bad.size:
         node = tuple(float(c[bad[0]]) for c in cols)
-        raise RankDeficientError(rank_message.format(node=node))
+        raise RankDeficientError(f"rank-deficient node {node}")
     return r_s, r_t, cell.orientation * cross / area, area
 
 
@@ -194,7 +192,6 @@ class Surface:
 
     cells: list
     chi: int
-    seam_tol: float = 1e-6
 
     def __post_init__(self):
         for c in self.cells:
@@ -203,7 +200,7 @@ class Surface:
 
     def validate_closed(self, spec=16):
         """Integrate a fixed 1-form over the total boundary; near zero for a
-        closed surface (seams cancel)."""
+        closed surface (seams cancel), and ValueError above 1e-6."""
         x, y, z = variable(0), variable(1), variable(2)
         # includes a circulation term (x dy) so open equatorial seams register
         probe = DifferentialForm(
@@ -212,7 +209,7 @@ class Surface:
         total = 0.0
         for c in self.cells:
             total += integrate(probe, boundary(c), spec)
-        if abs(total) > self.seam_tol:
+        if abs(total) > 1e-6:
             raise ValueError(
                 f"surface seams do not cancel: probe boundary integral {total:.3e}"
             )
@@ -232,7 +229,7 @@ def _surface_integral(surface: Surface, spec, density) -> float:
 def _curvature_density(cell: Cell, cols):
     """K dA at the nodes: K = (LN - M^2)/(EG - F^2) (do Carmo, Differential
     Geometry of Curves and Surfaces, 1976, section 3-3), EG - F^2 = dA^2."""
-    r_s, r_t, normal, area = _surface_frame(cell, cols, "rank-deficient node {node}")
+    r_s, r_t, normal, area = _surface_frame(cell, cols)
     l, m, n = (np.sum(r * normal, axis=0) for r in _second_partials(cell, cols))
     return (l * n - m * m) / area
 
@@ -284,7 +281,7 @@ def gauss_map_area_pullback(surface: Surface, spec=24) -> float:
 # Linking
 
 
-def linking_number(loop1: Loop, loop2: Loop, spec=32, min_distance_factor=1e-3):
+def linking_number(loop1: Loop, loop2: Loop, spec=32):
     """Gauss linking integral of two disjoint loops in R^3.
 
     The kernel det[g1'(s), g2'(t), g1(s) - g2(t)] / |g1(s) - g2(t)|^3 is the
@@ -300,7 +297,7 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32, min_distance_factor=1e-3):
     guard2 = loop2.sample(_GUARD_SAMPLES)
     scale = max(_loop_extent(guard1), _loop_extent(guard2))
     min_gap = _min_distance(guard1, guard2)
-    if min_gap < min_distance_factor * scale:
+    if min_gap < _MIN_DISTANCE_FACTOR * scale:
         raise SingularityError(
             f"loops come within {min_gap:.3e} of each other; "
             "the linking integrand is nearly singular"

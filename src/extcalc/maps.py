@@ -10,7 +10,7 @@ from .scalar import ScalarExpr, as_expr, variable
 class SmoothMap:
     """A map R^n -> R^m given by m component expressions in n variables."""
 
-    __slots__ = ("n", "m", "components", "_fns", "_jac", "_jac_fns", "_hess")
+    __slots__ = ("n", "m", "components", "_jac", "_hess")
 
     def __init__(self, n, m, components):
         components = tuple(as_expr(c) for c in components)
@@ -24,9 +24,7 @@ class SmoothMap:
         self.n = n
         self.m = m
         self.components = components
-        self._fns = None
         self._jac = None
-        self._jac_fns = None
         self._hess = None
 
     @staticmethod
@@ -50,10 +48,8 @@ class SmoothMap:
 
     def __call__(self, point):
         """Evaluate numerically at a point."""
-        if self._fns is None:
-            self._fns = [c.compiled() for c in self.components]
         point = list(point)
-        return [f(point) for f in self._fns]
+        return [c.compiled()(point) for c in self.components]
 
     def jacobian(self):
         """Symbolic Jacobian: entry (i, j) = d g_i / d x_j."""
@@ -74,22 +70,14 @@ class SmoothMap:
         return self._hess
 
     def jacobian_at(self, point):
-        if self._jac_fns is None:
-            self._jac_fns = [
-                [e.compiled() for e in row] for row in self.jacobian()
-            ]
         point = list(point)
-        return [[f(point) for f in row] for row in self._jac_fns]
+        return [[e.compiled()(point) for e in row] for row in self.jacobian()]
 
     def jacobian_determinant(self) -> ScalarExpr:
         if self.n != self.m:
             raise DimensionMismatch("determinant needs a square Jacobian")
         jac = self.jacobian()
         return _symbolic_det(jac)
-
-    def after(self, other: "SmoothMap") -> "SmoothMap":
-        """self o other."""
-        return compose(self, other)
 
     def __repr__(self):
         comps = "; ".join(str(c) for c in self.components)

@@ -34,6 +34,10 @@ _SCALAR_NAMES.update({f"x{i}": i - 1 for i in range(1, 10)})
 _FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3}
 _FORM_NAMES.update({f"dx{i}": i - 1 for i in range(1, 10)})
 
+# Each level of parentheses or function call costs the recursive-descent
+# parser four stack frames; deeper input is refused instead of overflowing.
+_MAX_DEPTH = 200
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -67,6 +71,7 @@ class _Parser:
         self.allow_forms = allow_forms
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.names = dict(_SCALAR_NAMES)
 
     def peek(self):
@@ -81,9 +86,6 @@ class _Parser:
         kind, value, pos = self.next()
         if kind not in ("op", "wedge") or value != op:
             raise ParseError(f"expected {op!r}, found {value!r}", pos)
-
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
 
     # values are ScalarExpr or DifferentialForm ---------------------------------
 
@@ -131,6 +133,10 @@ class _Parser:
 
     def expr(self):
         kind, value, pos = self.peek()
+        # depth counts the enclosing parentheses and function calls
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+        self.depth += 1
         sign = 1
         if kind == "op" and value == "-":
             self.next()
@@ -145,6 +151,7 @@ class _Parser:
                 right = self.term()
                 left = self._add(left, right, 1 if value == "+" else -1, pos)
             else:
+                self.depth -= 1
                 return left
 
     def term(self):

@@ -308,15 +308,14 @@ def _mono_div(m, d):
     return tuple(sorted(rem.items(), key=lambda ae: ae[0].key))
 
 
-def _p_divide_exact(a, b, max_steps=None):
+def _p_divide_exact(a, b):
     """Exact polynomial division a/b; None if it does not divide (or gives up)."""
     if not b:
         return None
     if not a:
         return {}
-    if max_steps is None:
-        # generous cap; rewrite-heavy inputs could otherwise loop
-        max_steps = max(256, 16 * len(a))
+    # generous cap; rewrite-heavy inputs could otherwise loop
+    max_steps = max(256, 16 * len(a))
     bl = _p_lead(b)
     blc = b[bl]
     q: dict = {}
@@ -474,10 +473,6 @@ class ScalarExpr:
         """Largest axis index used, or -1 for constants."""
         return max(self.axes(), default=-1)
 
-    def normalize(self) -> "ScalarExpr":
-        """Expressions are canonical at rest; normalization is the identity."""
-        return self
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -572,8 +567,6 @@ class ScalarExpr:
         den_expr = ScalarExpr._build(self._den, _p_one())
         return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
 
-    diff = differentiate
-
     def substitute(self, replacements) -> "ScalarExpr":
         """Simultaneously substitute axis i -> replacements[i]."""
         replacements = [as_expr(r) for r in replacements]
@@ -627,7 +620,7 @@ class ScalarExpr:
 
     def __str__(self):
         if self._str is None:
-            self._str = _format_expr(self)
+            self._str = format_expr(self)
         return self._str
 
     def __repr__(self):
@@ -976,7 +969,7 @@ def axis_name(axis: int, n: int) -> str:
 def _atom_str(a: _Atom, n: int) -> str:
     if a.kind == "v":
         return axis_name(a.axis, n)
-    return f"{a.name}({_format_expr(a.arg, n)})"
+    return f"{a.name}({format_expr(a.arg, n)})"
 
 
 def _mono_str(m, n: int) -> str:
@@ -985,10 +978,6 @@ def _mono_str(m, n: int) -> str:
         s = _atom_str(a, n)
         parts.append(s if e == 1 else f"{s}^{e}")
     return "*".join(parts)
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)
 
 
 def _poly_terms(p, n: int):
@@ -1004,11 +993,11 @@ def _poly_terms(p, n: int):
         mag = abs(c)
         mono = _mono_str(m, n)
         if not mono:
-            body = _frac_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_frac_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         out.append((sign, body))
     return out
 
@@ -1024,7 +1013,9 @@ def _poly_str(p, n: int) -> str:
     return "".join(pieces)
 
 
-def _format_expr(e: ScalarExpr, n: int | None = None) -> str:
+def format_expr(e: ScalarExpr, n: int | None = None) -> str:
+    """Render with axis names appropriate for ambient dimension n (by
+    default, the smallest dimension that holds every axis used)."""
     if n is None:
         n = e.max_axis() + 1
     num_str = _poly_str(e._num, n)
@@ -1044,11 +1035,6 @@ def _format_expr(e: ScalarExpr, n: int | None = None) -> str:
     return f"{num_str}/{den_str}"
 
 
-def format_expr(e: ScalarExpr, n: int) -> str:
-    """Render with axis names appropriate for ambient dimension n."""
-    return _format_expr(e, n)
-
-
 def format_coefficient(e: ScalarExpr, n: int):
     """Render for embedding in a product: returns (sign, body).
 
@@ -1059,8 +1045,8 @@ def format_coefficient(e: ScalarExpr, n: int):
         ((m, c),) = e._num.items()
         sign = "-" if c < 0 else "+"
         pos = ScalarExpr._build({m: abs(c)}, e._den) if c < 0 else e
-        return sign, _format_expr(pos, n)
-    s = _format_expr(e, n)
+        return sign, format_expr(pos, n)
+    s = format_expr(e, n)
     if _p_is_const(e._den):
         s = f"({s})"
     return "+", s

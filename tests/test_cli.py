@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -312,3 +315,67 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         code = main(["no-such-verb"])
         assert code == 2
+
+
+class TestHostileInput:
+    """Overflow, non-finite numbers and deep nesting end as one error line."""
+
+    def fails_cleanly(self, capsys, code, *argv):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_overflow_is_one(self, capsys):
+        self.fails_cleanly(capsys, 1, "eval", "--form", "exp(x)", "--point", "1000", "--dim", "1")
+        self.fails_cleanly(capsys, 1, "eval", "--form", "x^2", "--point", "1e200", "--dim", "1")
+
+    def test_non_finite_point_is_two(self, capsys):
+        self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "nan", "--dim", "1", "--json")
+        self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "inf", "--dim", "1")
+
+    def test_non_finite_tol_is_two(self, capsys, circle_file):
+        # argparse reports usage errors itself, on more than one line
+        for tol in ("nan", "inf"):
+            code, out, _ = run(capsys, "winding", "--loop", circle_file, "--tol", tol, "--json")
+            assert code == 2 and out == ""
+
+    def test_non_finite_result_is_one(self, capsys):
+        # 1e200 * 1e200 is inf without a Python exception
+        for extra in ((), ("--json",)):
+            self.fails_cleanly(
+                capsys, 1, "eval", "--form", "x*y", "--point", "1e200,1e200", "--dim", "2", *extra
+            )
+
+    def test_non_finite_box_is_two(self, capsys, tmp_path):
+        ray = write_json(
+            tmp_path / "ray.json",
+            {"ambient": 1, "cells": [{"box": [[0.0, math.inf]], "map": ["x"]}]},
+        )
+        self.fails_cleanly(capsys, 2, "integrate", "--form", "1", "--chain", ray)
+
+    def test_nesting_limit(self, capsys):
+        code, out, _ = run(capsys, "d", "--form", "(" * 200 + "x*dy" + ")" * 200, "--dim", "2")
+        assert code == 0 and out.strip() == "dx/\\dy"
+        self.fails_cleanly(capsys, 2, "d", "--form", "(" * 3000 + "x" + ")" * 3000, "--dim", "1")
+
+    def test_deep_function_nest_never_escapes(self, capsys):
+        # printing recurses about five frames per nested call
+        deep = "sin(" * 200 + "x" + ")" * 200
+        code, out, err = run(capsys, "wedge", "--form", deep, "--form", "dy", "--dim", "2")
+        assert code in (0, 1)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_python_m_runs_the_cli():
+    import extcalc
+
+    src = os.path.dirname(os.path.dirname(extcalc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "extcalc", "d", "--form", "x*dy", "--dim", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "dx/\\dy\n"

@@ -72,8 +72,14 @@ class TestCech:
         assert betti[2] == 0  # matches the non-orientable top-degree theorem
 
     def test_coboundary_squares_to_zero(self):
-        for nerve in (cycle_nerve(5), sphere_nerve(2), torus_nerve(), klein_nerve()):
-            cech_complex(nerve)  # validates delta o delta = 0 on construction
+        nerves = [cycle_nerve(5), torus_nerve(), klein_nerve()]
+        nerves += [sphere_nerve(n) for n in range(2, 6)]
+        for nerve in nerves:
+            deltas = cech_complex(nerve).deltas
+            for later, earlier in zip(deltas[1:], deltas):
+                for row in later:
+                    for j in range(len(earlier[0])):
+                        assert sum(a * b[j] for a, b in zip(row, earlier)) == 0
 
     def test_euler_characteristic_consistency(self):
         for nerve in (

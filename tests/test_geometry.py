@@ -243,8 +243,9 @@ class TestCurvature:
     def test_rank_deficiency_detected(self):
         u, v = S.variable(0), S.variable(1)
         degenerate = Cell(((0.0, 1.0), (0.0, 1.0)), SmoothMap(2, 3, [u, u, u]))
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError) as info:
             gauss_map(degenerate, (0.5, 0.5))
+        assert str(info.value) == "rank-deficient node (0.5, 0.5)"
 
 
 class TestGaussBonnet:

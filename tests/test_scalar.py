@@ -152,12 +152,6 @@ class TestIntegratePolynomial:
 
 
 class TestNormalForm:
-    def test_idempotent(self):
-        rng = make_rng(7)
-        for _ in range(50):
-            e = rand_elementary(rng, 3)
-            assert e.normalize() is e
-
     def test_trig_identity(self):
         u = x * y + 1
         assert (S.sin(u) ** 2 + S.cos(u) ** 2 - 1).is_zero()
