@@ -7,7 +7,7 @@ constructive Poincare lemma, Cech/Mayer-Vietoris cohomology at desk scale,
 and degree-theoretic integrals (winding, linking, Gauss-Bonnet).
 """
 
-from .cells import Cell, Chain, PointChain, QuadratureSpec
+from .cells import Cell, Chain, PointChain
 from .cohomology import (
     CircleGenerator,
     CochainComplex,

@@ -8,22 +8,11 @@ from .errors import DimensionMismatch
 from .maps import SmoothMap
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Legendre rule with q points per axis."""
-
-    q: int = 16
-
-    def __post_init__(self):
-        if not 2 <= self.q <= 64:
-            raise ValueError("quadrature order must be in 2..64")
-
-
 def quad_points(spec) -> int:
-    if isinstance(spec, QuadratureSpec):
-        return spec.q
+    """The Gauss-Legendre points per axis, an integer in 2..64."""
     spec = int(spec)
-    QuadratureSpec(spec)
+    if not 2 <= spec <= 64:
+        raise ValueError("quadrature order must be in 2..64")
     return spec
 
 

@@ -44,6 +44,17 @@ def canonicalize_index(indices, n=None):
     return sign, tuple(idx)
 
 
+def _add_term(out, idx, c):
+    """Add c to the coefficient of dx_idx in out, dropping it if it cancels."""
+    prev = out.get(idx)
+    if prev is not None:
+        c = prev + c
+    if c.is_zero():
+        out.pop(idx, None)
+    else:
+        out[idx] = c
+
+
 class DifferentialForm:
     """A degree-k differential form on R^n."""
 
@@ -130,11 +141,7 @@ class DifferentialForm:
             raise DegreeError("cannot add forms of different degree")
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            s = terms.get(idx, ZERO) + c
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
+            _add_term(terms, idx, c)
         return DifferentialForm(self.n, self.k, terms)
 
     def __neg__(self):
@@ -165,43 +172,21 @@ class DifferentialForm:
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
                 sign, idx = canonicalize_index(i1 + i2)
-                if sign == 0:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                prev = out.get(idx)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        k = self.k + other.k
-        if k > self.n:
-            return DifferentialForm.zero(self.n, k)
-        return DifferentialForm(self.n, k, out)
+                if sign:
+                    c = c1 * c2
+                    _add_term(out, idx, c if sign > 0 else -c)
+        return DifferentialForm(self.n, self.k + other.k, out)
 
     def d(self) -> "DifferentialForm":
+        """d(c dx_I) = sum over j not in I of (dc/dx_j) dx_j /\\ dx_I; only the
+        axes c depends on contribute."""
         out = {}
         for idx, c in self.terms.items():
-            for j in range(self.n):
-                dc = c.differentiate(j)
-                if dc.is_zero():
-                    continue
+            for j in sorted(c.axes().difference(idx)):
                 sign, new_idx = canonicalize_index((j,) + idx)
-                if sign == 0:
-                    continue
-                term = dc if sign == 1 else -dc
-                prev = out.get(new_idx)
-                s = term if prev is None else prev + term
-                if s.is_zero():
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = s
-        k = self.k + 1
-        if k > self.n:
-            return DifferentialForm.zero(self.n, k)
-        return DifferentialForm(self.n, k, out)
+                dc = c.differentiate(j)
+                _add_term(out, new_idx, dc if sign > 0 else -dc)
+        return DifferentialForm(self.n, self.k + 1, out)
 
     def is_closed(self) -> bool:
         return self.d().is_zero()
@@ -278,19 +263,8 @@ def interior_product(v: VectorFieldSym, a: DifferentialForm) -> DifferentialForm
     out = {}
     for idx, c in a.terms.items():
         for r, axis in enumerate(idx):
-            comp = v.components[axis]
-            if comp.is_zero():
-                continue
-            term = c * comp
-            if r % 2:
-                term = -term
-            new_idx = idx[:r] + idx[r + 1:]
-            prev = out.get(new_idx)
-            s = term if prev is None else prev + term
-            if s.is_zero():
-                out.pop(new_idx, None)
-            else:
-                out[new_idx] = s
+            term = c * v.components[axis]
+            _add_term(out, idx[:r] + idx[r + 1:], -term if r % 2 else term)
     return DifferentialForm(a.n, a.k - 1, out)
 
 

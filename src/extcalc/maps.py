@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .forms import DifferentialForm
+from .forms import DifferentialForm, _add_term
 from .scalar import ScalarExpr, as_expr, variable
 
 
@@ -110,23 +110,16 @@ def freeze_axis(g: SmoothMap, axis: int, value) -> SmoothMap:
     """Restrict a map to the slice {x_axis = value}, dropping that axis."""
     if not 0 <= axis < g.n:
         raise DimensionMismatch("axis outside domain")
-    repl = []
-    for i in range(g.n):
-        if i < axis:
-            repl.append(variable(i))
-        elif i == axis:
-            repl.append(as_expr(value))
-        else:
-            repl.append(variable(i - 1))
-    comps = [c.substitute(repl) for c in g.components]
-    return SmoothMap(g.n - 1 if g.n > 1 else 0, g.m, comps)
+    xs = [variable(i) for i in range(g.n - 1)]
+    return compose(g, SmoothMap(g.n - 1, g.n, xs[:axis] + [value] + xs[axis:]))
 
 
 def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     """Pull a form on the codomain back through g.
 
     Coefficients are composed with g and each dy^i becomes
-    dg^i = sum_j (dg_i/dx_j) dx^j, wedged in index order.
+    dg^i = sum_j (dg_i/dx_j) dx^j, read off the cached Jacobian and wedged in
+    index order.
     """
     if form.n != g.m:
         raise DimensionMismatch(
@@ -136,24 +129,21 @@ def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     if form.k > n:
         return DifferentialForm.zero(n, form.k)
     # differentials of the needed components, as 1-forms on the domain
-    needed = sorted({i for idx in form.terms for i in idx})
-    dg = {}
-    for i in needed:
-        terms = {}
-        for j in range(n):
-            c = g.components[i].differentiate(j)
-            if not c.is_zero():
-                terms[(j,)] = c
-        dg[i] = DifferentialForm(n, 1, terms)
-    result = DifferentialForm.zero(n, form.k)
+    needed = {i for idx in form.terms for i in idx}
+    dg = {
+        i: DifferentialForm(n, 1, {(j,): c for j, c in enumerate(g.jacobian()[i])})
+        for i in needed
+    }
+    out = {}
     for idx, coeff in form.terms.items():
         pulled = DifferentialForm.from_scalar(n, coeff.substitute(g.components))
         for i in idx:
             pulled = pulled.wedge(dg[i])
             if pulled.is_zero():
                 break
-        result = result + pulled
-    return result
+        for j, c in pulled.terms.items():
+            _add_term(out, j, c)
+    return DifferentialForm(n, form.k, out)
 
 
 def polar_map() -> SmoothMap:

@@ -113,10 +113,6 @@ class _Parser:
             if b.k == 0:
                 return a * b.terms.get((), as_expr(0))
             raise ParseError("use /\\ to multiply forms of positive degree", pos)
-        if a_form:
-            return a * b
-        if b_form:
-            return b * a
         return a * b
 
     def _div(self, a, b, pos):
@@ -127,8 +123,6 @@ class _Parser:
                 raise ParseError("cannot divide by a form of positive degree", pos)
         if isinstance(b, ScalarExpr) and b.is_zero():
             raise ParseError("division by zero", pos)
-        if isinstance(a, DifferentialForm):
-            return a / b
         return a / b
 
     def expr(self):

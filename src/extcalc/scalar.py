@@ -14,7 +14,7 @@ Rewrites applied during canonicalization:
 * trig parity: the argument of sin/cos is sign-normalized,
 * quotients keep a single top-level numerator/denominator pair with a monic
   denominator, and cheap cancellations (common monomial content, exact
-  division) are attempted.
+  division, adding numerators over an equal denominator) are attempted.
 
 Zero testing is therefore exact on the rational-function fragment: an
 expression is zero iff its numerator has no terms.  Outside that fragment
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 from .errors import (
@@ -47,7 +48,7 @@ _FUNC_INDEX = {name: i for i, name in enumerate(_FUNCTIONS)}
 class _Atom:
     """A polynomial indeterminate: an axis variable or a function application."""
 
-    __slots__ = ("kind", "axis", "name", "arg", "key", "_hash", "_axes")
+    __slots__ = ("kind", "axis", "name", "arg", "key", "_hash", "_axes", "__weakref__")
 
     def __init__(self, kind, axis=None, name=None, arg=None):
         self.kind = kind
@@ -72,26 +73,24 @@ class _Atom:
         return self.key < other.key
 
 
-_ATOM_CACHE: dict = {}
+# One live atom per key; an atom leaves the cache when no expression holds it.
+_ATOM_CACHE = weakref.WeakValueDictionary()
 
 
 def _var_atom(axis: int) -> _Atom:
-    key = ("v", axis)
-    atom = _ATOM_CACHE.get(key)
+    atom = _ATOM_CACHE.get((0, axis))
     if atom is None:
         if axis < 0:
             raise ValueError("axis index must be >= 0")
-        atom = _Atom("v", axis=axis)
-        _ATOM_CACHE[key] = atom
+        atom = _ATOM_CACHE[(0, axis)] = _Atom("v", axis=axis)
     return atom
 
 
 def _fn_atom(name: str, arg: "ScalarExpr") -> _Atom:
-    key = ("f", name, arg._key)
-    atom = _ATOM_CACHE.get(key)
+    atom = _ATOM_CACHE.get((1, _FUNC_INDEX[name], arg._key))
     if atom is None:
         atom = _Atom("f", name=name, arg=arg)
-        _ATOM_CACHE[key] = atom
+        _ATOM_CACHE[atom.key] = atom
     return atom
 
 
@@ -129,45 +128,27 @@ def _grlex(m):
     return (_mono_degree(m), _mono_key(m))
 
 
-def _lead_key(m):
-    """Graded-lex key: multiplying two monomials adds keys monotonically.
-
-    Within a fixed total degree, lex on the (sparse, ascending-atom) exponent
-    vector: a larger exponent at an earlier atom makes the monomial larger,
-    which corresponds to a lexicographically *smaller* (atom, -exp) sequence.
-    """
-    return (_mono_degree(m), tuple((a.key, -e) for a, e in m))
-
-
-def _mono_before(m1, m2):
-    """True when m1 < m2 in the graded-lex lead order."""
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return d1 < d2
-    return _lead_key(m1)[1] > _lead_key(m2)[1]
-
-
 def _p_lead(p):
-    best = None
-    for m in p:
-        if best is None or _mono_before(best, m):
-            best = m
-    return best
+    """The graded-lex leading monomial: highest total degree, then lex on the
+    (sparse, ascending-atom) exponent vector, where a larger exponent at an
+    earlier atom is larger, that is a smaller (atom, -exponent) sequence."""
+    return min(p, key=lambda m: (-_mono_degree(m), tuple((a.key, -e) for a, e in m)))
 
 
-def _p_add_into(out, p, scale=Fraction(1)):
+def _add_term(out, m, c):
+    """Add c*m into the polynomial out, dropping the monomial if it cancels."""
+    prev = out.get(m)
+    if prev is not None:
+        c = prev + c
+    if c:
+        out[m] = c
+    else:
+        out.pop(m, None)
+
+
+def _p_add_into(out, p):
     for m, c in p.items():
-        c = c * scale
-        prev = out.get(m)
-        if prev is None:
-            if c:
-                out[m] = c
-        else:
-            s = prev + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        _add_term(out, m, c)
 
 
 def _p_add(a, b):
@@ -250,32 +231,19 @@ def _canonize_mono(pairs):
 
 
 def _p_mul(a, b):
-    if not a or not b:
-        return {}
     out: dict = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             c = c1 * c2
-            if not m1:
-                _p_add_into(out, {m2: c})
-                continue
-            if not m2:
-                _p_add_into(out, {m1: c})
+            if not m1 or not m2:
+                _add_term(out, m1 or m2, c)
                 continue
             pairs, needs = _merge_monos(m1, m2)
-            if not needs:
-                m = tuple(pairs)
-                prev = out.get(m)
-                if prev is None:
-                    out[m] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+            if needs:
+                for m, cm in _canonize_mono(pairs).items():
+                    _add_term(out, m, c * cm)
             else:
-                _p_add_into(out, _canonize_mono(pairs), c)
+                _add_term(out, tuple(pairs), c)
     return out
 
 
@@ -330,8 +298,8 @@ def _p_divide_exact(a, b):
         if t is None:
             return None
         c = r[rl] / blc
-        _p_add_into(q, {t: c})
-        _p_add_into(r, _p_mul({t: c}, b), Fraction(-1))
+        _add_term(q, t, c)
+        _p_add_into(r, _p_mul({t: -c}, b))
     return q
 
 
@@ -479,6 +447,8 @@ class ScalarExpr:
         other = _operand(other)
         if other is None:
             return NotImplemented
+        if self._den == other._den:
+            return ScalarExpr._make(_p_add(self._num, other._num), self._den)
         num = _p_add(
             _p_mul(self._num, other._den), _p_mul(other._num, self._den)
         )
@@ -1087,7 +1057,7 @@ def integrate_polynomial(e: ScalarExpr, axis: int, lower=0) -> ScalarExpr:
                 pairs.append((a, ex))
         pairs.append((var_a, k + 1))
         pairs.sort(key=lambda ae: ae[0].key)
-        _p_add_into(num, {tuple(pairs): c / (k + 1)})
+        _add_term(num, tuple(pairs), c / (k + 1))
     anti = ScalarExpr._make(num, _p_one()) / ScalarExpr._build(e._den, _p_one())
     lower = as_expr(lower)
     if lower.is_zero():

@@ -64,3 +64,16 @@ def central_difference(f, point, axis, step=1e-5):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def count_differentiate(monkeypatch):
+    """Record the axis of every ScalarExpr.differentiate call from now on."""
+    calls = []
+    differentiate = S.ScalarExpr.differentiate
+
+    def counted(self, axis):
+        calls.append(axis)
+        return differentiate(self, axis)
+
+    monkeypatch.setattr(S.ScalarExpr, "differentiate", counted)
+    return calls

@@ -359,6 +359,12 @@ class TestHostileInput:
         assert code == 0 and out.strip() == "dx/\\dy"
         self.fails_cleanly(capsys, 2, "d", "--form", "(" * 3000 + "x" + ")" * 3000, "--dim", "1")
 
+    def test_d_of_top_degree_form_takes_no_derivative(self, capsys):
+        # d(c dx) on R^1 is 0 whatever c is; the 200-deep nest is never differentiated
+        deep = "sin(" * 200 + "x" + ")" * 200
+        code, out, _ = run(capsys, "d", "--form", deep + "*dx", "--dim", "1")
+        assert code == 0 and out == "0\n"
+
     def test_deep_function_nest_never_escapes(self, capsys):
         # printing recurses about five frames per nested call
         deep = "sin(" * 200 + "x" + ")" * 200

@@ -20,7 +20,7 @@ from extcalc.forms import (
 )
 from extcalc.parsing import parse_form
 
-from helpers import make_rng, rand_form, rand_poly
+from helpers import count_differentiate, make_rng, rand_form, rand_poly
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -103,6 +103,13 @@ class TestExteriorDerivative:
         for n in (1, 2, 3, 4):
             a = rand_form(rng, n, n)
             assert a.is_closed()
+
+    def test_only_free_axes_are_differentiated(self, monkeypatch):
+        # every coefficient depends only on axes already in its index
+        calls = count_differentiate(monkeypatch)
+        a = parse_form("x*y*dx/\\dy + z*dz/\\dx", 3)
+        assert a.d().is_zero()
+        assert calls == []
 
 
 class TestInteriorProduct:

@@ -266,16 +266,12 @@ class TestQuadratureBehavior:
         assert "node" in str(err.value)
 
     def test_quadrature_order_validated(self):
-        from extcalc.cells import QuadratureSpec
-
         w = DF(2, 1, {(1,): x})
         cell = sh.circle_cell()
         with pytest.raises(ValueError):
             integrate_cell(w, cell, 1)
         with pytest.raises(ValueError):
             integrate_cell(w, cell, 65)
-        spec = QuadratureSpec(q=24)
-        assert integrate_cell(w, cell, spec) == integrate_cell(w, cell, 24)
 
     def test_degenerate_box_rejected(self):
         from extcalc.maps import SmoothMap as SM

@@ -10,7 +10,7 @@ from extcalc.maps import SmoothMap, compose, freeze_axis, polar_map, pullback
 from extcalc.parsing import parse_map
 from extcalc.tensors import AltTensor, pullback_linear
 
-from helpers import make_rng, rand_form, rand_map, rand_point
+from helpers import count_differentiate, make_rng, rand_form, rand_map, rand_point
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -74,6 +74,17 @@ class TestPullback:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pullback(polar_map(), DF.basis(3, 0))
+
+    def test_reuses_the_cached_jacobian(self, monkeypatch):
+        from extcalc.forms import sphere_area_form
+        from extcalc.shapes import sphere_cell
+
+        g = sphere_cell().mapping
+        g.jacobian()
+        calls = count_differentiate(monkeypatch)
+        pulled = pullback(g, sphere_area_form())
+        assert calls == []
+        assert pulled == DF(2, 2, {(0, 1): S.sin(x)})
 
     def test_degree_above_domain_dimension(self):
         g = SmoothMap(1, 3, [x, x * x, x + 1])

@@ -1,5 +1,6 @@
 """Symbolic scalar engine: parsing, calculus, normal form."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -177,6 +178,12 @@ class TestNormalForm:
         e = 1 / x + 1 / y
         assert e == (x + y) / (x * y)
 
+    def test_same_denominator_sum_keeps_it(self):
+        r2 = x * x + y * y
+        e = x / r2 + y / r2
+        assert e == (x + y) / r2
+        assert str(e) == "(x + y)/(x^2 + y^2)"
+
     def test_quotient_cancellation(self):
         assert (x * x) / x == x
         assert (x * x - y * y) / (x - y) == x + y
@@ -310,3 +317,14 @@ class TestNormalizationFuzz:
             n = rng.randint(1, 3)
             expr, _ = self._build(rng, n, 2)
             assert parse_scalar(S.format_expr(expr, n), n) == expr
+
+
+def test_atom_cache_lets_unused_atoms_go():
+    gc.collect()
+    before = len(S._ATOM_CACHE)
+    for i in range(200):
+        e = parse_scalar(f"sin(x*{i}+1)*exp(y+{i})", 2)
+    assert len(S._ATOM_CACHE) > before
+    del e
+    gc.collect()
+    assert len(S._ATOM_CACHE) == before
