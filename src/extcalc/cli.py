@@ -23,7 +23,7 @@ from .cells import Cell, Chain
 from .errors import ExtcalcError, ParseError
 from .integrate import integrate, stokes_check
 from .homotopy import primitive
-from .parsing import parse_form, parse_map, parse_map_components
+from .parsing import json_fields, json_list, parse_form, parse_map, parse_map_components
 
 
 def fmt(x: float) -> str:
@@ -53,22 +53,37 @@ def finite(text: str) -> float:
     return value
 
 
-def load_chain(path: str) -> Chain:
+def read_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-    ambient = data["ambient"]
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path} is not valid JSON: {err}") from err
+
+
+def load_chain(path: str) -> Chain:
+    ambient, cells = json_fields(read_json(path), "chain", "ambient", "cells")
     terms = []
-    for entry in data["cells"]:
-        box = tuple(tuple(float(b) for b in pair) for pair in entry["box"])
+    for entry in json_list(cells, "chain cells"):
+        box, components, orientation, weight = json_fields(
+            entry, "cell", "box", "map", orientation=1, weight=1
+        )
+        try:
+            box = tuple((float(a), float(b)) for a, b in box)
+        except (TypeError, ValueError) as err:
+            raise ParseError("a cell box must be a list of [low, high] number pairs") from err
         if not all(math.isfinite(b) for pair in box for b in pair):
             raise ParseError("box bounds must be finite numbers")
-        mapping = parse_map_components(entry["map"], len(box))
+        if not (isinstance(weight, int) or isinstance(weight, float) and weight.is_integer()):
+            raise ParseError("a cell weight must be an integer")
+        if orientation not in (1, -1):
+            raise ParseError("a cell orientation must be +1 or -1")
+        mapping = parse_map_components(components, len(box))
         if mapping.m != ambient:
             raise ParseError(
-                f"cell map has {mapping.m} components but ambient is {ambient}"
+                f"cell map has {mapping.m} components but ambient is {ambient!r}"
             )
-        cell = Cell(box, mapping, entry.get("orientation", 1))
-        terms.append((entry.get("weight", 1), cell))
+        terms.append((weight, Cell(box, mapping, orientation)))
     return Chain(terms)
 
 
@@ -223,12 +238,12 @@ def cmd_primitive(args):
 
 def cmd_cohomology(args):
     if args.sphere is not None:
+        if args.sphere < 1:
+            raise ParseError("--sphere needs N >= 1")
         betti = co.sphere_betti(args.sphere)
         inputs = {"sphere": args.sphere}
     elif args.nerve:
-        with open(args.nerve) as fh:
-            nerve = co.Nerve.from_json(json.load(fh))
-        betti = co.cech_betti(nerve)
+        betti = co.cech_betti(co.Nerve.from_json(read_json(args.nerve)))
         inputs = {"nerve": args.nerve}
     else:
         raise ParseError("cohomology needs --nerve FILE or --sphere N")
@@ -237,9 +252,7 @@ def cmd_cohomology(args):
 
 
 def cmd_mv_solve(args):
-    with open(args.problem) as fh:
-        problem = co.ExactSequenceProblem.from_json(json.load(fh))
-    solution = co.mv_solve(problem)
+    solution = co.mv_solve(co.ExactSequenceProblem.from_json(read_json(args.problem)))
     emit(
         args,
         "mv-solve",

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cells import Cell
-from .errors import InconsistentSequenceError
+from .errors import InconsistentSequenceError, ParseError
 from .forms import DifferentialForm
 from .maps import SmoothMap
+from .parsing import json_fields, json_list
 from .scalar import ScalarExpr, sin, variable
 
 
@@ -121,7 +122,11 @@ class Nerve:
 
     @staticmethod
     def from_json(data) -> "Nerve":
-        return Nerve(data["vertices"], data.get("simplices", []))
+        vertices, simplices = json_fields(data, "nerve", "vertices", simplices=[])
+        indices = [v for s in json_list(simplices, "simplices") for v in json_list(s, "simplex")]
+        if not all(isinstance(v, int) for v in [vertices] + indices):
+            raise ParseError("nerve vertex count and simplex vertices must be integers")
+        return Nerve(vertices, simplices)
 
 
 @dataclass
@@ -258,8 +263,13 @@ class ExactSequenceProblem:
 
     @staticmethod
     def from_json(data) -> "ExactSequenceProblem":
-        dims = [slot.get("dim") for slot in data["slots"]]
-        ranks = [m.get("rank") for m in data.get("maps", [{}] * (len(dims) - 1))]
+        slots, maps = json_fields(data, "sequence problem", "slots", maps=None)
+        dims = [json_fields(s, "slot", dim=None)[0] for s in json_list(slots, "slots")]
+        ranks = None
+        if maps is not None:
+            ranks = [json_fields(m, "map", rank=None)[0] for m in json_list(maps, "maps")]
+        if not all(v is None or isinstance(v, int) for v in dims + (ranks or [])):
+            raise ParseError("slot dims and map ranks must be integers")
         return ExactSequenceProblem(dims, ranks)
 
 

@@ -73,6 +73,8 @@ class DifferentialForm:
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise ValueError(f"index {idx} is not strictly increasing")
             coeff = as_expr(coeff)
+            if coeff.max_axis() >= n:
+                raise DimensionMismatch(f"coefficient of {idx} uses an axis outside R^{n}")
             if not coeff.is_zero():
                 clean[idx] = coeff
         if k > n and clean:
@@ -89,9 +91,6 @@ class DifferentialForm:
 
     @staticmethod
     def from_scalar(n, expr):
-        expr = as_expr(expr)
-        if expr.max_axis() >= n:
-            raise DimensionMismatch("coefficient uses an axis outside R^n")
         return DifferentialForm(n, 0, {(): expr})
 
     @staticmethod

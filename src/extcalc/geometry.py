@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cells import Cell, Chain, quad_points
 from .errors import (
@@ -29,6 +28,11 @@ from .forms import DifferentialForm, angular_form
 from .integrate import boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
 from .scalar import evaluate_columns, variable
+
+# numpy is imported inside the functions that use it, so that importing
+# extcalc (and every symbolic CLI verb) does not pay for loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ class Loop:
         return Loop(self.cell.flipped())
 
     def sample(self, count: int) -> np.ndarray:
+        import numpy as np
+
         (a, b), = self.cell.box
         ts = np.linspace(a, b, count, endpoint=False)
         return evaluate_columns(self.cell.mapping.components, [ts]).T
@@ -73,6 +79,8 @@ def winding_number(loop: Loop, spec=32):
     extent of the origin (sampled densely) are rejected rather than
     integrated.
     """
+    import numpy as np
+
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
@@ -121,6 +129,8 @@ def local_degree_sign(f: SmoothMap, cell: Cell, params, codomain_cell: Cell, cod
     The domain tangent frame is pushed through the Jacobian of f and compared
     with the codomain orientation; used to pin expected mapping degrees.
     """
+    import numpy as np
+
     tangents = np.array(cell.mapping.jacobian_at(list(params)))  # 3 x 2
     pushed = np.array(f.jacobian_at(cell.mapping(list(params)))) @ tangents
     dom_det = area_form_evaluator(cell)(params)
@@ -134,6 +144,8 @@ def local_degree_sign(f: SmoothMap, cell: Cell, params, codomain_cell: Cell, cod
 
 
 def _point(params):
+    import numpy as np
+
     return [np.array([float(p)]) for p in params]
 
 
@@ -141,6 +153,8 @@ def _surface_frame(cell: Cell, cols):
     """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
     the area element |r_s x r_t| at the nodes; the first node with an area
     element below 1e-12 raises RankDeficientError naming that node."""
+    import numpy as np
+
     if cell.k != 2 or cell.ambient != 3:
         raise DimensionMismatch("Gauss map needs a surface cell in R^3")
     exprs = [row[j] for j in (0, 1) for row in cell.mapping.jacobian()]
@@ -172,6 +186,8 @@ def shape_operator(cell: Cell, params) -> np.ndarray:
     Differentiating n . r_s = n . r_t = 0 gives r_i . n_j = -II_ij, so the
     operator is -I^{-1} II.
     """
+    import numpy as np
+
     cols = _point(params)
     r_s, r_t, normal, _ = _surface_frame(cell, cols)
     tangents = (r_s[:, 0], r_t[:, 0])
@@ -182,6 +198,8 @@ def shape_operator(cell: Cell, params) -> np.ndarray:
 
 def gauss_curvature(cell: Cell, params) -> float:
     """det of the shape operator; independent of the chosen orientation."""
+    import numpy as np
+
     return float(np.linalg.det(shape_operator(cell, params)))
 
 
@@ -218,6 +236,8 @@ class Surface:
 
 def _surface_integral(surface: Surface, spec, density) -> float:
     """Quadrature of density(cell, cols) over every cell, summed in order."""
+    import numpy as np
+
     q = quad_points(spec)
     total = 0.0
     for cell in surface.cells:
@@ -229,6 +249,8 @@ def _surface_integral(surface: Surface, spec, density) -> float:
 def _curvature_density(cell: Cell, cols):
     """K dA at the nodes: K = (LN - M^2)/(EG - F^2) (do Carmo, Differential
     Geometry of Curves and Surfaces, 1976, section 3-3), EG - F^2 = dA^2."""
+    import numpy as np
+
     r_s, r_t, normal, area = _surface_frame(cell, cols)
     l, m, n = (np.sum(r * normal, axis=0) for r in _second_partials(cell, cols))
     return (l * n - m * m) / area
@@ -264,6 +286,8 @@ def _pullback_density(cell: Cell, cols):
     n = c/|c| and n_j = (c_j - n (n . c_j))/|c|, where
     c_s = r_ss x r_t + r_s x r_st and c_t = r_st x r_t + r_s x r_tt; the
     normal parts drop out of the determinant, leaving n . (c_s x c_t)/|c|^2."""
+    import numpy as np
+
     r_s, r_t, normal, area = _surface_frame(cell, cols)
     r_ss, r_st, r_tt = _second_partials(cell, cols)
     c_s = np.cross(r_ss, r_t, axis=0) + np.cross(r_s, r_st, axis=0)
@@ -290,6 +314,8 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     the generic symbolic pullback in the test suite.  Returns
     (value, nearest integer).
     """
+    import numpy as np
+
     if loop1.ambient != 3 or loop2.ambient != 3:
         raise DimensionMismatch("linking numbers live in R^3")
     q = quad_points(spec)
@@ -315,6 +341,8 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
 
 def _min_distance(points1, points2) -> float:
     """Least distance between two point sets, 128 rows at a time."""
+    import numpy as np
+
     least = math.inf
     for block in np.split(points1, range(128, len(points1), 128)):
         squares = sum((block[:, None, i] - c) ** 2 for i, c in enumerate(points2.T))
@@ -333,6 +361,8 @@ def _loop_tables(loop: Loop, q: int):
 
 
 def _loop_extent(points: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.max(points.max(axis=0) - points.min(axis=0)))
 
 

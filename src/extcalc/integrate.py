@@ -13,17 +13,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .cells import Cell, Chain, PointChain, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
 from .maps import freeze_axis, pullback
 from .scalar import evaluate_columns
 
+# numpy is imported inside the functions that use it, so that importing
+# extcalc (and every symbolic CLI verb) does not pay for loading it
+
 
 @lru_cache(maxsize=None)
 def _leggauss(q: int):
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(q)
 
 
@@ -31,6 +34,8 @@ def box_rule(box, q: int):
     """Tensor-product Gauss-Legendre rule with q points per axis: one array
     per axis with the q^k nodes in lexicographic order (first axis slowest),
     and their weights, each the product of the axis weights in axis order."""
+    import numpy as np
+
     x, w = _leggauss(q)
     k = len(box)
     cols = []

@@ -288,5 +288,29 @@ def parse_map(text: str) -> SmoothMap:
 
 def parse_map_components(components, k: int) -> SmoothMap:
     """Build a map from a list of component strings in k box variables."""
+    if not all(isinstance(c, str) for c in json_list(components, "cell map")):
+        raise ParseError("cell map components must be strings")
     comps = [parse_scalar(c, k) for c in components]
     return SmoothMap(k, len(comps), comps)
+
+
+# -- JSON input files ---------------------------------------------------------
+
+
+def json_fields(data, what, *required, **optional):
+    """Values of the keys of a JSON object read from an input file: the
+    required keys in order, then the optional ones or their defaults.
+    ParseError when data is not an object or a required key is missing."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{what} is missing the key {key!r}")
+    return [data[key] for key in required] + [data.get(k, v) for k, v in optional.items()]
+
+
+def json_list(value, what):
+    """value itself, or ParseError when it is not a JSON list."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list")
+    return value

@@ -365,6 +365,36 @@ class TestHostileInput:
         code, out, _ = run(capsys, "d", "--form", deep + "*dx", "--dim", "1")
         assert code == 0 and out == "0\n"
 
+    chain = ["integrate", "--form", "x*dx", "--chain", "FILE"]
+    cell = '{"ambient": 1, "cells": [{"box": [[0, 1]], "map": ["x"]%s}]}'
+
+    @pytest.mark.parametrize("argv, text", [
+        (["cohomology", "--nerve", "FILE"], "{}"),
+        (["cohomology", "--nerve", "FILE"], '{"vertices": 3, "simplices": [["a"]]}'),
+        (["cohomology", "--nerve", "FILE"], '{"vertices": 3, "simplices": 5}'),
+        (["mv-solve", "--problem", "FILE"], "{}"),
+        (["mv-solve", "--problem", "FILE"], '{"slots": [1, 2]}'),
+        (["mv-solve", "--problem", "FILE"], '{"slots": [{"dim": 0}, {"dim": "a"}, {"dim": 0}]}'),
+        (["winding", "--loop", "FILE"], "{}"),
+        (["gauss-bonnet", "--chi", "2", "--surface", "FILE"], "[1, 2]"),
+        (chain, "not json"),
+        (chain, "[1, 2]"),
+        (chain, '{"ambient": 2}'),
+        (chain, '{"ambient": 1, "cells": [1]}'),
+        (chain, '{"ambient": 1, "cells": [{"box": 5, "map": ["x"]}]}'),
+        (chain, '{"ambient": 1, "cells": [{"box": [[0, 1]], "map": [5]}]}'),
+        (chain, cell % ', "weight": null'),
+        (chain, cell % ', "weight": 0.5'),
+        (chain, cell % ', "orientation": 2'),
+        (["cohomology", "--sphere", "0"], None),
+        (["cohomology", "--sphere", "-1"], None),
+    ])
+    def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        self.fails_cleanly(capsys, 2, *(str(path) if a == "FILE" else a for a in argv))
+
     def test_deep_function_nest_never_escapes(self, capsys):
         # printing recurses about five frames per nested call
         deep = "sin(" * 200 + "x" + ")" * 200
@@ -374,14 +404,51 @@ class TestHostileInput:
             assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_python_m_runs_the_cli():
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's extcalc."""
     import extcalc
 
     src = os.path.dirname(os.path.dirname(extcalc.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "extcalc", "d", "--form", "x*dy", "--dim", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def test_python_m_runs_the_cli():
+    proc = python("-m", "extcalc", "d", "--form", "x*dy", "--dim", "2")
     assert proc.returncode == 0
     assert proc.stdout == "dx/\\dy\n"
+
+
+def test_symbolic_verbs_never_load_numpy(tmp_path, circle_file):
+    nerve = write_json(tmp_path / "nerve.json", {"vertices": 3, "simplices": [[0, 1], [1, 2]]})
+    problem = write_json(tmp_path / "mv.json", {"slots": [{"dim": 0}, {}, {"dim": 0}]})
+    symbolic = [
+        ["d", "--form", "x*y*dx + exp(x)*dy", "--dim", "2"],
+        ["wedge", "--form", "x*dx", "--form", "y*dy", "--dim", "2"],
+        ["pullback", "--map", "map(r, theta) = r*cos(theta); r*sin(theta)", "--form", "dx/\\dy"],
+        ["primitive", "--form", "y*dx + x*dy", "--dim", "2"],
+        ["eval", "--form", "sin(x)*dy", "--dim", "2", "--point", "1,2"],
+        ["cohomology", "--sphere", "3"],
+        ["cohomology", "--nerve", nerve],
+        ["mv-solve", "--problem", problem],
+        ["explain"],
+    ]
+    numeric = ["integrate", "--form", "x*dy - y*dx", "--chain", circle_file]
+    script = (
+        "import json, sys\n"
+        "import extcalc\n"
+        "from extcalc import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "symbolic_loaded = 'numpy' in sys.modules\n"
+        "codes.append(cli.main(json.loads(sys.argv[2])))\n"
+        "print(json.dumps([codes, symbolic_loaded, 'numpy' in sys.modules]))\n"
+    )
+    proc = python("-c", script, json.dumps(symbolic), json.dumps(numeric))
+    assert proc.returncode == 0, proc.stderr
+    codes, symbolic_loaded, numeric_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * (len(symbolic) + 1)
+    assert not symbolic_loaded
+    assert numeric_loaded

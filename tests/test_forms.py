@@ -52,6 +52,15 @@ class TestCanonicalize:
             assert sign == (-1) ** inversions
 
 
+def test_coefficient_outside_ambient_rejected():
+    # y*dx is not a form on R^1, whether built by index or from a scalar
+    with pytest.raises(DimensionMismatch):
+        DF(1, 1, {(0,): y})
+    with pytest.raises(DimensionMismatch):
+        DF.from_scalar(2, z)
+    assert str(DF(2, 1, {(0,): y})) == "y*dx"
+
+
 class TestWedge:
     def test_single_terms(self):
         a = DF(2, 1, {(0,): x})
