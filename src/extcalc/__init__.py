@@ -7,7 +7,7 @@ constructive Poincare lemma, Cech/Mayer-Vietoris cohomology at desk scale,
 and degree-theoretic integrals (winding, linking, Gauss-Bonnet).
 """
 
-from .cells import Cell, Chain, PointChain
+from .cells import Cell, Chain
 from .cohomology import (
     CircleGenerator,
     CochainComplex,
@@ -78,7 +78,6 @@ from .integrate import (
     hemisphere_transfer_check,
     integrate,
     integrate_cell,
-    integrate_points,
     stokes_check,
 )
 from .maps import SmoothMap, compose, freeze_axis, pullback

@@ -1,8 +1,17 @@
-"""Oriented parametrized cells and integer-weighted chains."""
+"""Oriented parametrized cells and integer-weighted chains.
+
+A cell is a box of parameters mapped into R^N.  Each box entry is either an
+interval (a, b) with a < b, a free parameter, or a bare number, a parameter
+pinned at that value; the degree k counts the intervals.  The face c_(i,a) of
+a cube c is c with its i-th free parameter pinned at an endpoint (Spivak,
+Calculus on Manifolds, ch. 4), so a face keeps its parent's map, and a point
+is a 0-cell.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import DimensionMismatch
 from .maps import SmoothMap
@@ -16,18 +25,24 @@ def quad_points(spec) -> int:
     return spec
 
 
+def free_axes(box) -> tuple:
+    """The axes of a box that are intervals rather than pinned values."""
+    return tuple(j for j, entry in enumerate(box) if not isinstance(entry, Real))
+
+
 @dataclass(frozen=True)
 class Cell:
-    """An oriented k-box mapped into R^N by a smooth parametrization."""
+    """An oriented k-box mapped into R^N by a smooth parametrization; the
+    map takes one parameter per box entry, pinned or free."""
 
     box: tuple
     mapping: SmoothMap
     orientation: int = 1
 
     def __post_init__(self):
-        box = tuple((float(a), float(b)) for a, b in self.box)
+        box = tuple(float(e) if isinstance(e, Real) else tuple(map(float, e)) for e in self.box)
         object.__setattr__(self, "box", box)
-        for a, b in box:
+        for a, b in (box[j] for j in free_axes(box)):
             if not a < b:
                 raise ValueError(f"degenerate interval [{a}, {b}]")
         if self.orientation not in (1, -1):
@@ -39,7 +54,7 @@ class Cell:
 
     @property
     def k(self) -> int:
-        return len(self.box)
+        return len(free_axes(self.box))
 
     @property
     def ambient(self) -> int:
@@ -55,6 +70,10 @@ class Chain:
     __slots__ = ("terms", "k", "ambient")
 
     def __init__(self, terms):
+        terms = list(terms)
+        for w, _ in terms:
+            if int(w) != w:
+                raise ValueError(f"chain weight {w!r} is not an integer")
         terms = [(int(w), c) for w, c in terms]
         if not terms:
             raise ValueError("empty chain; use a weight of zero on some cell instead")
@@ -76,18 +95,3 @@ class Chain:
 
     def __len__(self):
         return len(self.terms)
-
-
-class PointChain:
-    """Signed formal sum of points; the 0-dimensional integration domain."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        self.points = [(int(s), tuple(float(x) for x in p)) for s, p in points]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)

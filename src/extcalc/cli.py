@@ -74,6 +74,8 @@ def load_chain(path: str) -> Chain:
             raise ParseError("a cell box must be a list of [low, high] number pairs") from err
         if not all(math.isfinite(b) for pair in box for b in pair):
             raise ParseError("box bounds must be finite numbers")
+        if not all(a < b for a, b in box):
+            raise ParseError("a cell box interval [low, high] needs low < high")
         if not (isinstance(weight, int) or isinstance(weight, float) and weight.is_integer()):
             raise ParseError("a cell weight must be an integer")
         if orientation not in (1, -1):

@@ -126,7 +126,10 @@ class Nerve:
         indices = [v for s in json_list(simplices, "simplices") for v in json_list(s, "simplex")]
         if not all(isinstance(v, int) for v in [vertices] + indices):
             raise ParseError("nerve vertex count and simplex vertices must be integers")
-        return Nerve(vertices, simplices)
+        try:
+            return Nerve(vertices, simplices)
+        except ValueError as err:
+            raise ParseError(str(err)) from err
 
 
 @dataclass
@@ -270,7 +273,10 @@ class ExactSequenceProblem:
             ranks = [json_fields(m, "map", rank=None)[0] for m in json_list(maps, "maps")]
         if not all(v is None or isinstance(v, int) for v in dims + (ranks or [])):
             raise ParseError("slot dims and map ranks must be integers")
-        return ExactSequenceProblem(dims, ranks)
+        try:
+            return ExactSequenceProblem(dims, ranks)
+        except ValueError as err:
+            raise ParseError(str(err)) from err
 
 
 @dataclass

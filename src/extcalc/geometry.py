@@ -44,6 +44,8 @@ class Loop:
     def __post_init__(self):
         if self.cell.k != 1:
             raise DegreeError("a loop is a 1-cell")
+        if self.cell.mapping.n != 1:
+            raise DimensionMismatch("a loop cell must have no pinned parameters")
         (a, b), = self.cell.box
         pa = self.cell.mapping([a])
         pb = self.cell.mapping([b])
@@ -155,8 +157,8 @@ def _surface_frame(cell: Cell, cols):
     element below 1e-12 raises RankDeficientError naming that node."""
     import numpy as np
 
-    if cell.k != 2 or cell.ambient != 3:
-        raise DimensionMismatch("Gauss map needs a surface cell in R^3")
+    if cell.k != 2 or cell.mapping.n != 2 or cell.ambient != 3:
+        raise DimensionMismatch("Gauss map needs an unpinned surface cell in R^3")
     exprs = [row[j] for j in (0, 1) for row in cell.mapping.jacobian()]
     r_s, r_t = evaluate_columns(exprs, cols).reshape(2, 3, -1)
     cross = np.cross(r_s, r_t, axis=0)
@@ -213,8 +215,8 @@ class Surface:
 
     def __post_init__(self):
         for c in self.cells:
-            if c.k != 2 or c.ambient != 3:
-                raise DimensionMismatch("surface cells are 2-cells in R^3")
+            if c.k != 2 or c.mapping.n != 2 or c.ambient != 3:
+                raise DimensionMismatch("surface cells are unpinned 2-cells in R^3")
 
     def validate_closed(self, spec=16):
         """Integrate a fixed 1-form over the total boundary; near zero for a

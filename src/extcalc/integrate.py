@@ -1,22 +1,23 @@
 """Numeric integration of forms over chains; boundaries; Stokes checks.
 
 The semantics is the limit of Riemann sums over parameter boxes; the
-evaluator is tensor-product Gauss-Legendre quadrature applied to the single
-coefficient of the pulled-back form; ``box_rule`` lays out the nodes of
-every quadrature in the package.  Node contributions are summed by ``np.sum``
-in lexicographic order and chain terms in list order, so results are
-bit-reproducible.
+evaluator is tensor-product Gauss-Legendre quadrature applied to the
+coefficient of the pulled-back form along the free axes of the cell;
+``box_rule`` lays out the nodes of every quadrature in the package.  A face
+is its parent cell with one parameter pinned, so it is integrated through the
+parent's map, whose pullback every face shares within one call.  Node
+contributions are summed by ``np.sum`` in lexicographic order and chain terms
+in list order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .cells import Cell, Chain, PointChain, quad_points
+from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
-from .maps import freeze_axis, pullback
+from .maps import pullback
 from .scalar import evaluate_columns
 
 # numpy is imported inside the functions that use it, so that importing
@@ -31,16 +32,23 @@ def _leggauss(q: int):
 
 
 def box_rule(box, q: int):
-    """Tensor-product Gauss-Legendre rule with q points per axis: one array
-    per axis with the q^k nodes in lexicographic order (first axis slowest),
-    and their weights, each the product of the axis weights in axis order."""
+    """Tensor-product Gauss-Legendre rule with q points per free axis: one
+    array per box entry with the q^k nodes in lexicographic order (first free
+    axis slowest), constant on a pinned axis, and their weights, each the
+    product of the interval weights in axis order."""
     import numpy as np
 
     x, w = _leggauss(q)
-    k = len(box)
+    free = free_axes(box)
+    k = len(free)
     cols = []
     weights = np.ones(1)
-    for i, (a, b) in enumerate(box):
+    for j, entry in enumerate(box):
+        if j not in free:
+            cols.append(np.full(q**k, entry))
+            continue
+        i = free.index(j)
+        a, b = entry
         half = (b - a) / 2.0
         col = np.empty((q**i, q, q ** (k - 1 - i)))
         col[...] = ((b + a) / 2.0 + half * x)[:, None]
@@ -49,9 +57,9 @@ def box_rule(box, q: int):
     return cols, weights
 
 
-def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
-    """Integral of a k-form over an oriented k-cell."""
-    q = quad_points(spec)
+def _cell_integral(form: DifferentialForm, cell: Cell, q: int, pulled: dict) -> float:
+    """Integral of a k-form over an oriented k-cell; ``pulled`` holds the
+    pullback of the form through every cell map seen so far in this call."""
     if form.k != cell.k:
         raise DegreeError(
             f"degree-{form.k} form cannot be integrated over a {cell.k}-cell"
@@ -60,8 +68,9 @@ def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
         raise DimensionMismatch(
             f"form on R^{form.n} vs cell in R^{cell.ambient}"
         )
-    pulled = pullback(cell.mapping, form)
-    coeff = pulled.terms.get(tuple(range(cell.k)))
+    if cell.mapping not in pulled:
+        pulled[cell.mapping] = pullback(cell.mapping, form)
+    coeff = pulled[cell.mapping].terms.get(free_axes(cell.box))
     if coeff is None:
         return 0.0
     cols, weights = box_rule(cell.box, q)
@@ -74,75 +83,46 @@ def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
     return cell.orientation * float((weights * values).sum())
 
 
-def integrate_points(form: DifferentialForm, pc: PointChain) -> float:
-    """Signed sum of a 0-form over a point chain."""
-    if form.k != 0:
-        raise DegreeError("point chains integrate 0-forms only")
-    coeff = form.terms.get((), None)
-    if coeff is None:
-        return 0.0
-    f = coeff.compiled()
-    total = 0.0
-    for sign, point in pc:
-        total += sign * f(list(point))
-    return total
+def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
+    """Integral of a k-form over an oriented k-cell."""
+    return _cell_integral(form, cell, quad_points(spec), {})
 
 
 def integrate(form: DifferentialForm, domain, spec=16) -> float:
-    """Integrate a form over a Cell, Chain, or PointChain."""
+    """Integrate a form over a Cell or a Chain."""
     if isinstance(domain, Cell):
         return integrate_cell(form, domain, spec)
-    if isinstance(domain, Chain):
-        total = 0.0
-        for w, cell in domain:
-            if w:
-                total += w * integrate_cell(form, cell, spec)
-        return total
-    if isinstance(domain, PointChain):
-        return integrate_points(form, domain)
-    raise TypeError(f"cannot integrate over {type(domain).__name__}")
+    if not isinstance(domain, Chain):
+        raise TypeError(f"cannot integrate over {type(domain).__name__}")
+    q = quad_points(spec)
+    pulled = {}
+    total = 0.0
+    for w, cell in domain:
+        if w:
+            total += w * _cell_integral(form, cell, q, pulled)
+    return total
 
 
 def boundary(domain):
-    """Oriented boundary of a cell or chain.
+    """Oriented boundary of a cell or chain, a Chain of (k-1)-cells.
 
-    Faces follow the product-box convention: with axes numbered from 1, the
-    face {x_j = b_j} enters with sign (-1)^(j-1) and {x_j = a_j} with sign
-    (-1)^j, both multiplied by the cell orientation.  For k = 1 the result is
-    a PointChain, otherwise a Chain of (k-1)-cells.
+    Each face is the parent cell with one free parameter pinned at an end of
+    its interval.  With the free axes numbered from 1, the face {x_j = b_j}
+    enters with sign (-1)^(j-1) and {x_j = a_j} with sign (-1)^j, both
+    multiplied by the cell orientation; the faces of [a, b] are 0-cells.
     """
     if isinstance(domain, Chain):
-        parts = [(w, boundary(c)) for w, c in domain if w]
-        if domain.k == 1:
-            points = []
-            for w, pc in parts:
-                points.extend((w * s, p) for s, p in pc)
-            return PointChain(points)
-        terms = []
-        for w, ch in parts:
-            terms.extend((w * wc, cc) for wc, cc in ch)
-        return Chain(terms)
+        return Chain([(w * s, face) for w, c in domain if w for s, face in boundary(c)])
     cell = domain
-    if cell.k < 1:
+    free = free_axes(cell.box)
+    if not free:
         raise DegreeError("boundary needs a cell of dimension >= 1")
-    if cell.k == 1:
-        (a, b), = cell.box
-        pa = cell.mapping([a])
-        pb = cell.mapping([b])
-        return PointChain(
-            [(cell.orientation, pb), (-cell.orientation, pa)]
-        )
     faces = []
-    for j in range(cell.k):
-        upper_sign = (-1) ** j  # axis j is the (j+1)-th coordinate
+    for i, j in enumerate(free):
         a, b = cell.box[j]
-        rest = cell.box[:j] + cell.box[j + 1:]
-        for value, sign in ((b, upper_sign), (a, -upper_sign)):
-            # floats are exact binary rationals, so Fraction(value) loses nothing
-            face_map = freeze_axis(cell.mapping, j, Fraction(value))
-            faces.append(
-                (sign * cell.orientation, Cell(rest, face_map, 1))
-            )
+        for value, sign in ((b, (-1) ** i), (a, -(-1) ** i)):
+            box = cell.box[:j] + (value,) + cell.box[j + 1:]
+            faces.append((sign * cell.orientation, Cell(box, cell.mapping)))
     return Chain(faces)
 
 
@@ -155,6 +135,8 @@ def stokes_check(form: DifferentialForm, domain, spec=16):
     k = domain.k if isinstance(domain, (Cell, Chain)) else None
     if k is None:
         raise TypeError("stokes_check needs a Cell or Chain")
+    if k < 1:
+        raise DegreeError("Stokes needs a domain of dimension >= 1")
     if form.k != k - 1:
         raise DegreeError(
             f"need a degree-{k - 1} form on a {k}-dimensional domain, "

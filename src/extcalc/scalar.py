@@ -870,7 +870,7 @@ def evaluate_columns(exprs, cols):
     """
     import numpy as np
 
-    count = len(cols[0])
+    count = len(cols[0]) if cols else 1  # a point has one node and no axes
     try:
         with np.errstate(all="ignore"):
             values = [e.compiled_columns()(cols) for e in exprs]
@@ -882,7 +882,7 @@ def evaluate_columns(exprs, cols):
         pass
     fns = [e.compiled() for e in exprs]
     rows = []
-    for point in zip(*(c.tolist() for c in cols)):
+    for point in zip(*(c.tolist() for c in cols)) if cols else [()]:
         try:
             rows.append([f(point) for f in fns])
         except SingularityError as err:

@@ -66,14 +66,16 @@ def make_rng(seed):
     return random.Random(seed)
 
 
-def count_differentiate(monkeypatch):
-    """Record the axis of every ScalarExpr.differentiate call from now on."""
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name from now on.  owner is
+    a class, or the module whose calls of a function are to be counted: a
+    function is counted where its callers look it up."""
     calls = []
-    differentiate = S.ScalarExpr.differentiate
+    fn = getattr(owner, name)
 
-    def counted(self, axis):
-        calls.append(axis)
-        return differentiate(self, axis)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(S.ScalarExpr, "differentiate", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls

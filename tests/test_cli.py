@@ -286,6 +286,24 @@ class TestVerbs:
         assert code == 0
         assert "dims = [0, 1, 2, 2, 1, 0]" in out
 
+    def test_integrate_over_points(self, capsys, tmp_path):
+        # a cell with an empty box is a point; a 0-form integrates to its value
+        points = write_json(
+            tmp_path / "points.json",
+            {
+                "ambient": 2,
+                "cells": [
+                    {"box": [], "map": ["1", "2"]},
+                    {"box": [], "map": ["3", "1/2"], "weight": -2},
+                ],
+            },
+        )
+        code, out, _ = run(capsys, "integrate", "--form", "x*y + 1", "--chain", points)
+        assert code == 0 and out == "-2\n"
+        code, out, err = run(capsys, "stokes", "--form", "x", "--chain", points)
+        assert code == 1 and out == ""
+        assert err == "error: Stokes needs a domain of dimension >= 1\n"
+
     def test_cohomology_nerve(self, capsys, tmp_path):
         nerve = write_json(
             tmp_path / "nerve.json",
@@ -388,6 +406,10 @@ class TestHostileInput:
         (chain, cell % ', "orientation": 2'),
         (["cohomology", "--sphere", "0"], None),
         (["cohomology", "--sphere", "-1"], None),
+        (["cohomology", "--nerve", "FILE"], '{"vertices": 0}'),
+        (["mv-solve", "--problem", "FILE"],
+         '{"slots": [{"dim": 0}, {"dim": 1}, {"dim": 0}], "maps": [{"rank": 0}]}'),
+        (chain, '{"ambient": 1, "cells": [{"box": [[1, 1]], "map": ["x"]}]}'),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"

@@ -8,7 +8,7 @@ import pytest
 from extcalc import scalar as S
 from extcalc import shapes as sh
 from extcalc.cells import Cell
-from extcalc.errors import RankDeficientError, SingularityError
+from extcalc.errors import DimensionMismatch, RankDeficientError, SingularityError
 from extcalc.forms import DifferentialForm, angular_form, solid_angle_form, sphere_area_form
 from extcalc.geometry import (
     Loop,
@@ -27,6 +27,7 @@ from extcalc.geometry import (
     surface_area,
     winding_number,
 )
+from extcalc.integrate import boundary
 from extcalc.maps import SmoothMap
 
 from helpers import make_rng
@@ -102,6 +103,12 @@ class TestWinding:
         th = S.variable(0)
         with pytest.raises(ValueError):
             Loop(Cell(((0.0, 3.0),), SmoothMap(1, 2, [S.cos(th), S.sin(th)])))
+
+    def test_pinned_cell_rejected_as_loop(self):
+        # the outer rim of the disk, a face whose map still takes (r, theta)
+        rim = next(face for _, face in boundary(sh.disk_cell()))
+        with pytest.raises(DimensionMismatch):
+            Loop(rim)
 
     def test_small_perturbation_keeps_winding(self):
         from fractions import Fraction
@@ -323,6 +330,17 @@ class TestAreas:
     def test_torus_area(self):
         surface = Surface([sh.torus_cell(2, 1)], chi=0)
         assert abs(surface_area(surface, 32) - 8 * math.pi**2) <= 1e-6
+
+    def test_pinned_face_refused(self):
+        # the rho = 1 face of the half ball is the hemisphere, but its map
+        # takes (rho, phi, theta); reading Jacobian columns 0 and 1 would
+        # give the (rho, phi) frame and an area of pi^2, not 2 pi
+        sphere_face = next(face for _, face in boundary(sh.half_ball_cell()))
+        assert sphere_face.box[0] == 1.0
+        with pytest.raises(DimensionMismatch):
+            surface_area(Surface([sphere_face], chi=1), 24)
+        with pytest.raises(DimensionMismatch):
+            gauss_map(sphere_face, (1.0, 0.5, 0.5))
 
 
 def _crossing_count_linking(points1, points2, direction):

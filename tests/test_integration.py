@@ -1,14 +1,16 @@
 """Numeric integration over chains: periods, boundaries, Stokes."""
 
+import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extcalc import scalar as S
 from extcalc import shapes as sh
-from extcalc.cells import Cell, Chain, PointChain
-from extcalc.errors import DegreeError, SingularityError
+from extcalc.cells import Cell, Chain
+from extcalc.errors import DegreeError, DimensionMismatch, SingularityError
 from extcalc.forms import (
     DifferentialForm,
     VectorFieldSym,
@@ -23,12 +25,11 @@ from extcalc.integrate import (
     hemisphere_transfer_check,
     integrate,
     integrate_cell,
-    integrate_points,
     stokes_check,
 )
-from extcalc.maps import SmoothMap, compose
+from extcalc.maps import SmoothMap, compose, freeze_axis
 
-from helpers import make_rng, rand_form, rand_poly
+from helpers import count_calls, make_rng, rand_form, rand_map, rand_poly
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -57,9 +58,22 @@ class TestChains:
         assert integrate(w, chain, 16) == 0.0
 
     def test_point_chain(self):
-        pc = PointChain([(1, (3,)), (-1, (1,))])
+        # a point is a 0-cell: a pinned box, or an empty box with a constant map
+        identity = SmoothMap.identity(1)
+        pc = Chain([(1, Cell((3,), identity)), (-1, Cell((1,), identity))])
         f = DF.from_scalar(1, x)
-        assert integrate_points(f, pc) == 2.0
+        assert integrate(f, pc) == 2.0
+        point = Cell((), SmoothMap(0, 1, [S.constant(5)]))
+        assert integrate(f, Chain([(2, point)])) == 10.0
+
+    def test_weights_must_be_integers(self):
+        cell = sh.interval_cell(0, 1)
+        for weight in (0.5, 1.9, "2"):
+            with pytest.raises(ValueError):
+                Chain([(weight, cell)])
+        chain = Chain([(2.0, cell)])
+        assert chain.terms[0][0] == 2 and isinstance(chain.terms[0][0], int)
+        assert integrate(DF.basis(1, 0), chain) == 2.0
 
     def test_fundamental_theorem(self):
         f = DF.from_scalar(1, x**3 + x)
@@ -71,9 +85,12 @@ class TestChains:
 
 class TestBoundary:
     def test_interval(self):
-        pc = boundary(sh.interval_cell(0, 1))
-        assert isinstance(pc, PointChain)
-        assert pc.points == [(1, (1.0,)), (-1, (0.0,))]
+        cell = sh.interval_cell(0, 1)
+        b = boundary(cell)
+        assert b.k == 0
+        assert [(w, face.box) for w, face in b] == [(1, (1.0,)), (-1, (0.0,))]
+        assert all(face.mapping is cell.mapping for _, face in b)
+        assert integrate(DF.from_scalar(1, x * x + 3), b) == 1.0
 
     def test_unit_square_is_counterclockwise(self):
         chain = boundary(sh.square_cell())
@@ -84,11 +101,7 @@ class TestBoundary:
         # lower face of the last axis carries sign (-1)^n (axes counted from 1)
         for n in range(1, 5):
             cell = sh.box_cell(*(((0.0, 1.0),) * n))
-            b = boundary(cell)
-            if n == 1:
-                assert b.points[-1][0] == -1  # (-1)^1
-                continue
-            faces = list(b)
+            faces = list(boundary(cell))
             weight_last_lower = faces[2 * (n - 1) + 1][0]
             assert weight_last_lower == (-1) ** n
             for j in range(n):
@@ -99,10 +112,76 @@ class TestBoundary:
         rng = make_rng(10)
         disk_bb = boundary(boundary(sh.disk_cell()))
         f = DF.from_scalar(2, rand_poly(rng, 2, 3))
-        assert abs(integrate_points(f, disk_bb)) <= 1e-10
+        assert disk_bb.k == 0
+        assert abs(integrate(f, disk_bb)) <= 1e-10
         ball_bb = boundary(boundary(sh.half_ball_cell()))
         w = DF(3, 1, {(i,): rand_poly(rng, 3, 2) for i in range(3)})
         assert abs(integrate(w, ball_bb, 8)) <= 1e-10
+
+
+class TestFaces:
+    """A face is its parent cell with one parameter pinned."""
+
+    def test_pinned_face_matches_frozen_map(self):
+        rng = make_rng(21)
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            n = rng.randint(k, 3)
+            g = rand_map(rng, k, n, degree=2)
+            box = []
+            for _ in range(k):
+                a = rng.choice((-1.0, -0.5, 0.0, 0.25))
+                box.append((a, a + rng.choice((0.5, 1.0, 1.5))))
+            form = rand_form(rng, n, k - 1)
+            for _, face in boundary(Cell(tuple(box), g)):
+                assert face.mapping is g and face.k == k - 1
+                (j,) = [i for i, entry in enumerate(face.box) if not isinstance(entry, tuple)]
+                rest = face.box[:j] + face.box[j + 1:]
+                frozen = Cell(rest, freeze_axis(g, j, Fraction(face.box[j])))
+                pinned = integrate_cell(form, face, 6)
+                expected = integrate_cell(form, frozen, 6)
+                assert math.isclose(pinned, expected, rel_tol=1e-13, abs_tol=1e-15)
+
+    def test_faces_share_one_pullback(self, monkeypatch):
+        # the package exports a function named integrate, hiding the module
+        module = importlib.import_module("extcalc.integrate")
+        calls = count_calls(monkeypatch, module, "pullback")
+        w = DF(3, 2, {(0, 1): x * z, (1, 2): y + 1})
+        _, _, res = stokes_check(w, sh.half_ball_cell(), 8)
+        assert res <= 1e-8
+        # one for d(w) over the ball, one shared by its six faces
+        assert len(calls) == 2
+
+    def test_face_singularity_names_parent_coordinates(self):
+        u, v = S.variable(0), S.variable(1)
+        cell = Cell(((0.0, 1.0), (2.0, 3.0)), SmoothMap(2, 2, [u, v]))
+        w = DF(2, 1, {(1,): S.ln(x)})
+        with pytest.raises(SingularityError) as err:
+            integrate(w, boundary(cell), 4)
+        assert err.value.__cause__.node[0] == 0.0
+        assert "node (0.0, 2." in str(err.value)
+
+    def test_stokes_on_points_rejected(self):
+        points = boundary(sh.interval_cell(0, 1))
+        with pytest.raises(DegreeError, match="dimension >= 1"):
+            stokes_check(DF.from_scalar(1, x), points)
+        with pytest.raises(DegreeError):
+            boundary(points)
+
+    def test_pinned_box_rule(self):
+        from extcalc.integrate import box_rule
+
+        cols, weights = box_rule(((0.0, 1.0), 0.5, (2.0, 4.0)), 3)
+        assert [len(c) for c in cols] == [9, 9, 9]
+        assert (cols[1] == 0.5).all()
+        assert abs(weights.sum() - 2.0) <= 1e-15
+        full, full_weights = box_rule(((0.0, 1.0), (2.0, 4.0)), 3)
+        assert (cols[0] == full[0]).all() and (cols[2] == full[1]).all()
+        assert (weights == full_weights).all()
+
+    def test_map_must_take_every_box_entry(self):
+        with pytest.raises(DimensionMismatch):
+            Cell(((0.0, 1.0), 0.5), SmoothMap.identity(1))
 
 
 class TestStokes:
