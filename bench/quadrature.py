@@ -3,32 +3,23 @@
     python bench/quadrature.py --before OLD/src
 
 Run it from the root of a checkout; OLD is a checkout of the commit to
-compare against.  Each of ROUNDS rounds runs one measuring process per side,
-alternating which side goes first, with PYTHONPATH pointing at that side's
-``src``.  A measuring process builds every row's inputs, calls the row once
-untimed (so code generation and symbolic caches are warm, as in a reused
-geometry), then times REPEAT calls with ``time.perf_counter``.  The
-``integrate_cell`` rows include the symbolic pullback of the form, which
-runs on every call; a ``stokes_check`` row runs 20 checks on fresh
-integrands, so it includes pullback and code generation too, and reports
-the time per check.  For every row
-and side the output holds the number of timed calls and their min and
-median.
+compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
+measuring process per side and times REPEAT calls of each row after one
+untimed call (so code generation and symbolic caches are warm, as in a
+reused geometry).  The ``integrate_cell`` rows include the symbolic
+pullback of the form, which runs on every call; a ``stokes_check`` row runs
+20 checks on fresh integrands, so it includes pullback and code generation
+too, and reports the time per check.  For every row and side the output
+holds the number of timed calls and their min and median.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
 import math
-import os
-import platform
 import random
-import statistics
-import subprocess
-import sys
-import time
+
+import beforeafter
 
 ROUNDS = 8
 REPEAT = 5
@@ -105,79 +96,5 @@ def _rows():
     return rows
 
 
-def measure():
-    out = {}
-    for name, (unit, units, thunk) in _rows().items():
-        thunk()
-        scale = (1e9 if unit == "ns/node" else 1e3) / units
-        times = []
-        for _ in range(REPEAT):
-            start = time.perf_counter()
-            thunk()
-            times.append((time.perf_counter() - start) * scale)
-        out[name] = {"unit": unit, "times": times}
-    return out
-
-
-def _run_side(src):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, __file__, "--measure"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def compare(before, after):
-    sides = {"before": before, "after": after}
-    times = {"before": {}, "after": {}}
-    units = {}
-    for r in range(ROUNDS):
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for side in order:
-            for name, row in _run_side(sides[side]).items():
-                units[name] = row["unit"]
-                times[side].setdefault(name, []).extend(row["times"])
-    rows = {}
-    for name, unit in units.items():
-        entry = {"unit": unit}
-        for side in ("before", "after"):
-            ts = times[side][name]
-            entry[side] = {"repeat": len(ts), "min": round(min(ts), 4),
-                           "median": round(statistics.median(ts), 4)}
-        ratio = entry["before"]["median"] / entry["after"]["median"]
-        entry["speedup_median"] = round(ratio, 2)
-        rows[name] = entry
-    return {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
-        "method": f"{ROUNDS} rounds of one measuring process per side, alternating "
-                  f"which side runs first, {REPEAT} timed calls per row per process "
-                  "after one untimed call; wall time by time.perf_counter",
-        "rows": rows,
-    }
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--measure", action="store_true",
-                    help="time the importable extcalc and print JSON")
-    ap.add_argument("--before", help="src directory of the old checkout")
-    args = ap.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return
-    if not args.before:
-        ap.error("--before is required unless --measure is given")
-    result = compare(args.before, "src")
-    with open("BENCH_quadrature.json", "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    for name, row in result["rows"].items():
-        before, after = row["before"]["median"], row["after"]["median"]
-        print(f"{name:28s} {before:12.4f} -> {after:10.4f} {row['unit']:8s} "
-              f"x{row['speedup_median']}")
-
-
 if __name__ == "__main__":
-    main()
+    beforeafter.main(__doc__, __file__, "quadrature", _rows, ROUNDS, REPEAT)

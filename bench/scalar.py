@@ -1,0 +1,82 @@
+"""Before/after timings of the exact scalar layer, written as BENCH_scalar.json.
+
+    python bench/scalar.py --before OLD/src
+
+Run it from the root of a checkout; OLD is a checkout of the commit to
+compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
+measuring process per side and times REPEAT calls of each row after one
+untimed call.  The inputs come from ``perfbench/gen.py`` with a fixed seed:
+COUNT coefficients of every kind it makes (polynomials with rational
+coefficients, exp, sin, cos, one quotient, sqrt) on R^2 and R^3, forms of
+the same kinds, and maps with quadratic and sin components.  A row applies
+one operation to every input and reports the time per operation:
+
+* parse: ``parse_form`` of the form texts;
+* add, mul: ``a + b`` and ``a * b`` of consecutive coefficients;
+* substitute: a coefficient through the components of a map into its space;
+* differentiate: a coefficient along each of its axes;
+* pullback: a form through a map;
+* dd: ``d`` twice of a form.
+
+The ``criterion_2`` row runs the body of acceptance criterion 2 (the
+200-instance symbolic property suites of ``tests/test_acceptance.py``) and
+reports the time per run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import random
+import sys
+
+import beforeafter
+
+ROUNDS = 8
+REPEAT = 5
+COUNT = 60
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _rows():
+    """name -> (unit, operations per call, thunk)."""
+    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
+    import gen
+    import test_acceptance
+
+    import extcalc as ec
+
+    rng = random.Random(1)
+    scalars, forms, maps = [], [], []
+    for i in range(COUNT):
+        n = rng.randint(2, 3)
+        kind = gen.COEFF_KINDS[i % len(gen.COEFF_KINDS)]
+        scalars.append((n, ec.parse_scalar(gen.coefficient(rng, gen.AXES[:n], kind), n)))
+        text = gen.form(rng, n, rng.randint(0, n - 1), kinds=(kind,), max_terms=2)
+        forms.append((n, text, ec.parse_form(text, n)))
+        maps.append(ec.parse_map(gen.smooth_map(rng, rng.randint(1, 3), n)))
+    pairs = list(zip(scalars, scalars[1:] + scalars[:1]))
+    derivatives = [(s, axis) for n, s in scalars for axis in range(n)]
+
+    def criterion_2():
+        with contextlib.redirect_stdout(io.StringIO()):
+            test_acceptance.test_criterion_02_property_suite()
+
+    return {
+        "parse": ("us/op", COUNT, lambda: [ec.parse_form(t, n) for n, t, _ in forms]),
+        "add": ("us/op", COUNT, lambda: [a + b for (_, a), (_, b) in pairs]),
+        "mul": ("us/op", COUNT, lambda: [a * b for (_, a), (_, b) in pairs]),
+        "substitute": ("us/op", COUNT, lambda: [
+            s.substitute(g.components) for (_, s), g in zip(scalars, maps)]),
+        "differentiate": ("us/op", len(derivatives), lambda: [
+            s.differentiate(axis) for s, axis in derivatives]),
+        "pullback": ("us/op", COUNT, lambda: [
+            ec.pullback(g, w) for (_, _, w), g in zip(forms, maps)]),
+        "dd": ("us/op", COUNT, lambda: [w.d().d() for _, _, w in forms]),
+        "criterion_2": ("ms", 1, criterion_2),
+    }
+
+
+if __name__ == "__main__":
+    beforeafter.main(__doc__, __file__, "scalar", _rows, ROUNDS, REPEAT)

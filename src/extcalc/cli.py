@@ -19,7 +19,7 @@ import sys
 
 from . import cohomology as co
 from . import geometry as geo
-from .cells import Cell, Chain
+from .cells import Cell, Chain, quad_points
 from .errors import ExtcalcError, ParseError
 from .integrate import integrate, stokes_check
 from .homotopy import primitive
@@ -51,6 +51,14 @@ def finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def quad(text: str) -> int:
+    """The argparse type of --quad: Gauss-Legendre points per axis, in 2..64."""
+    try:
+        return quad_points(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def read_json(path: str):
@@ -344,8 +352,15 @@ def cmd_explain(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other failure."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extcalc",
         description="symbolic/numeric exterior calculus",
     )
@@ -355,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--quad", type=int, default=16)
+        p.add_argument("--quad", type=quad, default=16)
         p.add_argument("--tol", type=finite, default=1e-8)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)

@@ -20,8 +20,11 @@ Zero testing is therefore exact on the rational-function fragment: an
 expression is zero iff its numerator has no terms.  Outside that fragment
 (e.g. identities mixing ln and exp) zero detection is best-effort.
 
-Coefficients are ``fractions.Fraction``; floats are deliberately rejected so
-the symbolic layer stays exact.
+Coefficients are exact rationals: an ``int`` when the denominator is 1 and a
+``fractions.Fraction`` otherwise, never a ``Fraction`` with denominator 1, so
+most arithmetic stays on machine integers.  Every division of coefficients
+goes through ``Fraction``.  Floats are deliberately rejected so the symbolic
+layer stays exact.
 """
 
 from __future__ import annotations
@@ -97,17 +100,28 @@ def _fn_atom(name: str, arg: "ScalarExpr") -> _Atom:
 # ---------------------------------------------------------------------------
 # Polynomial layer.  A monomial is a tuple of (atom, exponent) pairs sorted by
 # atom key with all exponents >= 1; a polynomial maps monomials to nonzero
-# Fractions.
+# coefficients (an int, or a Fraction whose denominator is not 1).
 
 _MONO_ONE = ()
-_P_ZERO: dict = {}
 
 
 def _p_one():
-    return {_MONO_ONE: Fraction(1)}
+    return {_MONO_ONE: 1}
 
 
-def _p_const(c: Fraction):
+def _norm(c):
+    """A coefficient in normal form: a Fraction with denominator 1 becomes an int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _div(a, b):
+    """The exact quotient a/b of two coefficients, normalized."""
+    return _norm(Fraction(a) / b)
+
+
+def _p_const(c):
     return {} if c == 0 else {_MONO_ONE: c}
 
 
@@ -136,10 +150,11 @@ def _p_lead(p):
 
 
 def _add_term(out, m, c):
-    """Add c*m into the polynomial out, dropping the monomial if it cancels."""
+    """Add c*m into the polynomial out, dropping the monomial if it cancels;
+    c is a normalized coefficient, and so is the sum."""
     prev = out.get(m)
     if prev is not None:
-        c = prev + c
+        c = _norm(prev + c)
     if c:
         out[m] = c
     else:
@@ -157,10 +172,10 @@ def _p_add(a, b):
     return out
 
 
-def _p_scale(p, c: Fraction):
+def _p_scale(p, c):
     if c == 0:
         return {}
-    return {m: v * c for m, v in p.items()}
+    return {m: _norm(v * c) for m, v in p.items()}
 
 
 def _p_neg(p):
@@ -213,7 +228,7 @@ def _canonize_mono(pairs):
             if e % 2:
                 base.append((a, 1))
             sin_a = _fn_atom("sin", a.arg)
-            one_minus_sin2 = {_MONO_ONE: Fraction(1), ((sin_a, 2),): Fraction(-1)}
+            one_minus_sin2 = {_MONO_ONE: 1, ((sin_a, 2),): -1}
             factors.append(_p_pow(one_minus_sin2, e // 2))
         elif a.kind == "f" and a.name == "sqrt" and e >= 2:
             if e % 2:
@@ -224,7 +239,7 @@ def _canonize_mono(pairs):
     if exp_arg is not None and not exp_arg.is_zero():
         base.append((_fn_atom("exp", exp_arg), 1))
     base.sort(key=lambda ae: ae[0].key)
-    result = {tuple(base): Fraction(1)}
+    result = {tuple(base): 1}
     for f in factors:
         result = _p_mul(result, f)
     return result
@@ -234,14 +249,14 @@ def _p_mul(a, b):
     out: dict = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            c = c1 * c2
+            c = _norm(c1 * c2)
             if not m1 or not m2:
                 _add_term(out, m1 or m2, c)
                 continue
             pairs, needs = _merge_monos(m1, m2)
             if needs:
                 for m, cm in _canonize_mono(pairs).items():
-                    _add_term(out, m, c * cm)
+                    _add_term(out, m, _norm(c * cm))
             else:
                 _add_term(out, tuple(pairs), c)
     return out
@@ -297,7 +312,7 @@ def _p_divide_exact(a, b):
         t = _mono_div(rl, bl)
         if t is None:
             return None
-        c = r[rl] / blc
+        c = _div(r[rl], blc)
         _add_term(q, t, c)
         _p_add_into(r, _p_mul({t: -c}, b))
     return q
@@ -338,9 +353,9 @@ def _p_strip_content(p, content):
 
 def _coerce_fraction(x):
     if isinstance(x, Fraction):
-        return x
+        return _norm(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)  # a bool or other int subclass becomes a plain int
     raise TypeError(
         f"symbolic layer takes int or Fraction constants, not {type(x).__name__}"
     )
@@ -350,14 +365,15 @@ class ScalarExpr:
     """Immutable symbolic scalar in canonical num/den normal form."""
 
     __slots__ = (
-        "_num", "_den", "_key", "_hash", "_axes", "_compiled", "_columns", "_str"
+        "_num", "_den", "_sorted_key", "_hash", "_axes", "_compiled", "_columns", "_str"
     )
 
-    def __init__(self, num, den, key):
+    def __init__(self, num, den):
+        """Wrap a num/den pair that is already in normal form."""
         self._num = num
         self._den = den
-        self._key = key
-        self._hash = hash(key)
+        self._sorted_key = None
+        self._hash = None
         self._axes = None
         self._compiled = None
         self._columns = None
@@ -365,10 +381,13 @@ class ScalarExpr:
 
     # -- construction -------------------------------------------------------
 
-    @staticmethod
-    def _build(num, den):
-        key = (_poly_key(num), _poly_key(den))
-        return ScalarExpr(num, den, key)
+    @property
+    def _key(self):
+        """A sorted rendering of num and den, built on first use: function
+        atoms are keyed on it, and it fixes the hash."""
+        if self._sorted_key is None:
+            self._sorted_key = (_poly_key(self._num), _poly_key(self._den))
+        return self._sorted_key
 
     @staticmethod
     def _make(num, den):
@@ -383,28 +402,28 @@ class ScalarExpr:
         if _p_is_const(den):
             c = den[_MONO_ONE]
             if c != 1:
-                num = _p_scale(num, 1 / c)
-            return ScalarExpr._build(num, _p_one())
+                num = _p_scale(num, _div(1, c))
+            return ScalarExpr(num, _p_one())
         q = _p_divide_exact(num, den)
         if q is not None:
-            return ScalarExpr._build(q, _p_one())
+            return ScalarExpr(q, _p_one())
         q = _p_divide_exact(den, num)
         if q is not None:
             num, den = _p_one(), q
         lead_c = den[_p_lead(den)]
         if lead_c != 1:
-            inv = 1 / lead_c
+            inv = _div(1, lead_c)
             num = _p_scale(num, inv)
             den = _p_scale(den, inv)
-        return ScalarExpr._build(num, den)
+        return ScalarExpr(num, den)
 
     @staticmethod
     def constant(c) -> "ScalarExpr":
-        return ScalarExpr._build(_p_const(_coerce_fraction(c)), _p_one())
+        return ScalarExpr(_p_const(_coerce_fraction(c)), _p_one())
 
     @staticmethod
     def variable(axis: int) -> "ScalarExpr":
-        return ScalarExpr._build({((_var_atom(axis), 1),): Fraction(1)}, _p_one())
+        return ScalarExpr({((_var_atom(axis), 1),): 1}, _p_one())
 
     # -- basic queries -------------------------------------------------------
 
@@ -419,7 +438,7 @@ class ScalarExpr:
             raise ValueError("not a constant expression")
         if not self._num:
             return Fraction(0)
-        return self._num[_MONO_ONE] / self._den[_MONO_ONE]
+        return Fraction(self._num[_MONO_ONE]) / self._den[_MONO_ONE]
 
     def is_polynomial(self) -> bool:
         """True when den == 1 and no function atoms occur in the numerator."""
@@ -457,7 +476,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr._build(_p_neg(self._num), self._den)
+        return ScalarExpr(_p_neg(self._num), self._den)
 
     def __sub__(self, other):
         other = _operand(other)
@@ -516,9 +535,12 @@ class ScalarExpr:
                 other = as_expr(other)
             else:
                 return NotImplemented
-        return self._key == other._key
+        return self is other or (self._num == other._num and self._den == other._den)
 
     def __hash__(self):
+        # a constant hashes like its value, since it compares equal to it
+        if self._hash is None:
+            self._hash = hash(self.constant_value() if self.is_constant() else self._key)
         return self._hash
 
     # -- calculus ------------------------------------------------------------
@@ -533,8 +555,8 @@ class ScalarExpr:
         if _p_is_const(self._den):
             return dn
         dd = _poly_diff(self._den, axis)
-        num_expr = ScalarExpr._build(self._num, _p_one())
-        den_expr = ScalarExpr._build(self._den, _p_one())
+        num_expr = ScalarExpr(self._num, _p_one())
+        den_expr = ScalarExpr(self._den, _p_one())
         return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
 
     def substitute(self, replacements) -> "ScalarExpr":
@@ -601,8 +623,8 @@ def _poly_key(p):
     return tuple(sorted((_mono_key(m), (c.numerator, c.denominator)) for m, c in p.items()))
 
 
-ZERO = ScalarExpr({}, _p_one(), (_poly_key({}), _poly_key(_p_one())))
-ONE = ScalarExpr._build(_p_one(), _p_one())
+ZERO = ScalarExpr({}, _p_one())
+ONE = ScalarExpr(_p_one(), _p_one())
 
 
 def as_expr(x) -> ScalarExpr:
@@ -632,20 +654,20 @@ def constant(c) -> ScalarExpr:
 # Elementary functions
 
 
-def _leading_coefficient(e: ScalarExpr) -> Fraction:
+def _leading_coefficient(e: ScalarExpr):
     if not e._num:
-        return Fraction(0)
+        return 0
     return e._num[_p_lead(e._num)]
 
 
-def _sqrt_fraction(c: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
+def _sqrt_fraction(c):
+    """Exact square root of a nonnegative rational coefficient, or None."""
     if c < 0:
         return None
     pn = math.isqrt(c.numerator)
     pd = math.isqrt(c.denominator)
     if pn * pn == c.numerator and pd * pd == c.denominator:
-        return Fraction(pn, pd)
+        return _norm(Fraction(pn, pd))
     return None
 
 
@@ -667,7 +689,7 @@ def exp(e) -> ScalarExpr:
     e = as_expr(e)
     if e.is_zero():
         return ONE
-    return ScalarExpr._build({((_fn_atom("exp", e), 1),): Fraction(1)}, _p_one())
+    return ScalarExpr({((_fn_atom("exp", e), 1),): 1}, _p_one())
 
 
 def ln(e) -> ScalarExpr:
@@ -678,7 +700,7 @@ def ln(e) -> ScalarExpr:
             raise SingularityError("ln of a non-positive constant")
         if c == 1:
             return ZERO
-    return ScalarExpr._build({((_fn_atom("ln", e), 1),): Fraction(1)}, _p_one())
+    return ScalarExpr({((_fn_atom("ln", e), 1),): 1}, _p_one())
 
 
 def _trig(name: str, e: ScalarExpr) -> ScalarExpr:
@@ -687,7 +709,7 @@ def _trig(name: str, e: ScalarExpr) -> ScalarExpr:
         e = -e
         flip = True
     atom = _fn_atom(name, e)
-    base = ScalarExpr._build({((atom, 1),): Fraction(1)}, _p_one())
+    base = ScalarExpr({((atom, 1),): 1}, _p_one())
     if flip and name == "sin":
         return -base
     return base
@@ -716,12 +738,12 @@ def sqrt(e) -> ScalarExpr:
     num, den = e._num, e._den
     if not _p_is_const(den):
         # sqrt(n/d) = sqrt(n*d)/d keeps sqrt arguments polynomial
-        inner = sqrt(ScalarExpr._build(_p_mul(num, den), _p_one()))
-        return inner / ScalarExpr._build(den, _p_one())
+        inner = sqrt(ScalarExpr(_p_mul(num, den), _p_one()))
+        return inner / ScalarExpr(den, _p_one())
     root = _poly_mono_sqrt(num)
     if root is not None:
-        return ScalarExpr._build(root, _p_one())
-    return ScalarExpr._build({((_fn_atom("sqrt", e), 1),): Fraction(1)}, _p_one())
+        return ScalarExpr(root, _p_one())
+    return ScalarExpr({((_fn_atom("sqrt", e), 1),): 1}, _p_one())
 
 
 _FUNC_CONSTRUCTORS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
@@ -737,7 +759,7 @@ def _atom_diff(a: _Atom, axis: int) -> ScalarExpr:
     if axis not in a._axes:
         return ZERO
     du = a.arg.differentiate(axis)
-    u_atom = ScalarExpr._build({((a, 1),): Fraction(1)}, _p_one())
+    u_atom = ScalarExpr({((a, 1),): 1}, _p_one())
     if a.name == "exp":
         return u_atom * du
     if a.name == "ln":
@@ -764,13 +786,15 @@ def _poly_diff(p, axis: int) -> ScalarExpr:
             if e > 1:
                 rest.append((a, e - 1))
                 rest.sort(key=lambda ae: ae[0].key)
-            factor = ScalarExpr._make({tuple(rest): c * e}, _p_one())
+            factor = ScalarExpr._make({tuple(rest): _norm(c * e)}, _p_one())
             total = total + factor * da
     return total
 
 
 def _poly_substitute(p, replacements) -> ScalarExpr:
-    total = ZERO
+    # terms over denominator 1 add up in one dict; quotients add one by one
+    poly: dict = {}
+    quotients = ZERO
     for m, c in p.items():
         term = ScalarExpr.constant(c)
         for a, e in m:
@@ -779,8 +803,11 @@ def _poly_substitute(p, replacements) -> ScalarExpr:
             else:
                 sub = _FUNC_CONSTRUCTORS[a.name](a.arg.substitute(replacements))
             term = term * sub ** e
-        total = total + term
-    return total
+        if _p_is_const(term._den):
+            _p_add_into(poly, term._num)
+        else:
+            quotients = quotients + term
+    return ScalarExpr._make(poly, _p_one()) + quotients
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1041,7 @@ def format_coefficient(e: ScalarExpr, n: int):
     if len(e._num) == 1:
         ((m, c),) = e._num.items()
         sign = "-" if c < 0 else "+"
-        pos = ScalarExpr._build({m: abs(c)}, e._den) if c < 0 else e
+        pos = ScalarExpr({m: abs(c)}, e._den) if c < 0 else e
         return sign, format_expr(pos, n)
     s = format_expr(e, n)
     if _p_is_const(e._den):
@@ -1057,8 +1084,8 @@ def integrate_polynomial(e: ScalarExpr, axis: int, lower=0) -> ScalarExpr:
                 pairs.append((a, ex))
         pairs.append((var_a, k + 1))
         pairs.sort(key=lambda ae: ae[0].key)
-        _add_term(num, tuple(pairs), c / (k + 1))
-    anti = ScalarExpr._make(num, _p_one()) / ScalarExpr._build(e._den, _p_one())
+        _add_term(num, tuple(pairs), _div(c, k + 1))
+    anti = ScalarExpr._make(num, _p_one()) / ScalarExpr(e._den, _p_one())
     lower = as_expr(lower)
     if lower.is_zero():
         # antiderivative already vanishes at 0 term by term

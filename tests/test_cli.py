@@ -353,10 +353,8 @@ class TestHostileInput:
         self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "inf", "--dim", "1")
 
     def test_non_finite_tol_is_two(self, capsys, circle_file):
-        # argparse reports usage errors itself, on more than one line
         for tol in ("nan", "inf"):
-            code, out, _ = run(capsys, "winding", "--loop", circle_file, "--tol", tol, "--json")
-            assert code == 2 and out == ""
+            self.fails_cleanly(capsys, 2, "winding", "--loop", circle_file, "--tol", tol, "--json")
 
     def test_non_finite_result_is_one(self, capsys):
         # 1e200 * 1e200 is inf without a Python exception
@@ -410,6 +408,9 @@ class TestHostileInput:
         (["mv-solve", "--problem", "FILE"],
          '{"slots": [{"dim": 0}, {"dim": 1}, {"dim": 0}], "maps": [{"rank": 0}]}'),
         (chain, '{"ambient": 1, "cells": [{"box": [[1, 1]], "map": ["x"]}]}'),
+        (chain + ["--quad", "1"], cell % ""),
+        (chain + ["--quad", "0"], cell % ""),
+        (chain + ["--quad", "65"], cell % ""),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"

@@ -15,7 +15,15 @@ from extcalc.errors import (
 )
 from extcalc.parsing import parse_scalar
 
-from helpers import central_difference, make_rng, rand_elementary, rand_point, rand_poly
+from helpers import (
+    central_difference,
+    make_rng,
+    rand_elementary,
+    rand_form,
+    rand_map,
+    rand_point,
+    rand_poly,
+)
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 
@@ -198,6 +206,50 @@ class TestNormalForm:
     def test_float_constants_rejected(self):
         with pytest.raises(TypeError):
             S.as_expr(0.5)
+
+
+def coefficients(e):
+    """Every coefficient of e, those inside function arguments included."""
+    for p in (e._num, e._den):
+        for m, c in p.items():
+            yield c
+            for a, _ in m:
+                if a.arg is not None:
+                    yield from coefficients(a.arg)
+
+
+class TestCoefficientTypes:
+    """A coefficient is an int, or a Fraction whose denominator is not 1."""
+
+    @staticmethod
+    def check(e):
+        for c in coefficients(e):
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+    def test_results_of_the_form_operations(self):
+        from extcalc.forms import DifferentialForm
+        from extcalc.homotopy import primitive
+        from extcalc.maps import pullback
+
+        rng = make_rng(31)
+        for _ in range(30):
+            n = rng.randint(2, 3)
+            scale = S.constant(Fraction(rng.randint(1, 5), rng.randint(2, 6)))
+            a = rand_form(rng, n, rng.randint(0, n - 1)) * scale
+            b = DifferentialForm(n, 1, {(rng.randrange(n),): rand_elementary(rng, n) * scale})
+            g = rand_map(rng, rng.randint(1, 3), n)
+            for form in (a.d(), b.d(), a.wedge(b), pullback(g, a), pullback(g, b), primitive(a.d())):
+                for c in form.terms.values():
+                    self.check(c)
+            p = rand_poly(rng, n, 3) * scale
+            self.check(S.integrate_polynomial(p, 0))
+            self.check(S.integrate_polynomial(p, 1, lower=scale))
+
+    def test_constants(self):
+        for value in (True, 3, Fraction(6, 3), Fraction(1, 2)):
+            self.check(S.constant(value))
+        for e in (S.constant(3), S.constant(Fraction(1, 2)) * 2, S.ZERO, x / x):
+            assert type(e.constant_value()) is Fraction
 
 
 class TestPrintRoundTrip:
