@@ -10,10 +10,11 @@ is a 0-cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .maps import SmoothMap
 
 
@@ -21,7 +22,7 @@ def quad_points(spec) -> int:
     """The Gauss-Legendre points per axis, an integer in 2..64."""
     spec = int(spec)
     if not 2 <= spec <= 64:
-        raise ValueError("quadrature order must be in 2..64")
+        raise ParseError("quadrature order must be in 2..64")
     return spec
 
 
@@ -42,11 +43,13 @@ class Cell:
     def __post_init__(self):
         box = tuple(float(e) if isinstance(e, Real) else tuple(map(float, e)) for e in self.box)
         object.__setattr__(self, "box", box)
+        if not all(math.isfinite(x) for e in box for x in ((e,) if isinstance(e, float) else e)):
+            raise ParseError("box bounds must be finite numbers")
         for a, b in (box[j] for j in free_axes(box)):
             if not a < b:
-                raise ValueError(f"degenerate interval [{a}, {b}]")
+                raise ParseError(f"degenerate interval [{a}, {b}]")
         if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise ParseError("orientation must be +1 or -1")
         if self.mapping.n != len(box):
             raise DimensionMismatch(
                 f"map takes {self.mapping.n} parameters but the box has {len(box)}"
@@ -72,11 +75,11 @@ class Chain:
     def __init__(self, terms):
         terms = list(terms)
         for w, _ in terms:
-            if int(w) != w:
-                raise ValueError(f"chain weight {w!r} is not an integer")
+            if not (isinstance(w, Integral) or isinstance(w, float) and w.is_integer()):
+                raise ParseError(f"chain weight {w!r} is not an integer")
         terms = [(int(w), c) for w, c in terms]
         if not terms:
-            raise ValueError("empty chain; use a weight of zero on some cell instead")
+            raise ParseError("empty chain; use a weight of zero on some cell instead")
         k = terms[0][1].k
         ambient = terms[0][1].ambient
         for _, c in terms:

@@ -5,9 +5,10 @@ mv-solve, winding, linking, degree, gauss-bonnet, explain.
 
 Exit codes: 0 success, 1 domain error (singularity, inconsistency, bad
 geometry, overflow, a non-finite result), 2 usage or parse error (including
-non-finite input numbers).  ``--json`` switches output to a single
-machine-readable object.  Numbers print with 12 significant digits and
-residuals in scientific notation, so output is byte-stable across runs.
+non-finite input numbers); the class of an ExtcalcError sets its code.
+``--json`` switches output to a single machine-readable object.  Numbers
+print with 12 significant digits and residuals in scientific notation, so
+output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from . import cohomology as co
 from . import geometry as geo
 from .cells import Cell, Chain, quad_points
-from .errors import ExtcalcError, ParseError
+from .errors import ExtcalcError, ParseError, SingularityError
 from .integrate import integrate, stokes_check
 from .homotopy import primitive
 from .parsing import json_fields, json_list, parse_form, parse_map, parse_map_components
@@ -46,19 +47,19 @@ def _all_finite(value) -> bool:
 
 
 def finite(text: str) -> float:
-    """The argparse type of --tol: a finite float."""
-    value = float(text)
+    """The argparse type of --tol and of each --point item: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        raise ParseError(f"{text!r} is not a finite number")
     return value
 
 
-def quad(text: str) -> int:
-    """The argparse type of --quad: Gauss-Legendre points per axis, in 2..64."""
-    try:
-        return quad_points(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from err
+def point(text: str) -> list:
+    """The argparse type of --point: comma-separated finite floats."""
+    return [finite(p) for p in text.split(",")]
 
 
 def read_json(path: str):
@@ -80,14 +81,6 @@ def load_chain(path: str) -> Chain:
             box = tuple((float(a), float(b)) for a, b in box)
         except (TypeError, ValueError) as err:
             raise ParseError("a cell box must be a list of [low, high] number pairs") from err
-        if not all(math.isfinite(b) for pair in box for b in pair):
-            raise ParseError("box bounds must be finite numbers")
-        if not all(a < b for a, b in box):
-            raise ParseError("a cell box interval [low, high] needs low < high")
-        if not (isinstance(weight, int) or isinstance(weight, float) and weight.is_integer()):
-            raise ParseError("a cell weight must be an integer")
-        if orientation not in (1, -1):
-            raise ParseError("a cell orientation must be +1 or -1")
         mapping = parse_map_components(components, len(box))
         if mapping.m != ambient:
             raise ParseError(
@@ -121,7 +114,7 @@ def load_surface(path: str, chi: int) -> geo.Surface:
 
 def emit(args, verb, inputs, result, residual=None, text=None):
     if not (_all_finite(result) and _all_finite(residual)):
-        raise ValueError("the result is not a finite number")
+        raise SingularityError("the result is not a finite number")
     if args.json:
         payload = {
             "verb": verb,
@@ -144,20 +137,17 @@ def cmd_eval(args):
     from .scalar import axis_name
 
     form = parse_form(args.form, args.dim)
-    point = [float(p) for p in args.point.split(",")]
-    if not all(math.isfinite(p) for p in point):
-        raise ParseError("--point values must be finite numbers")
     if form.k == 0:
         coeff = form.terms.get(())
-        value = coeff.evaluate(point) if coeff is not None else 0.0
-        emit(args, "eval", {"form": args.form, "point": point}, value, text=fmt(value))
+        value = coeff.evaluate(args.point) if coeff is not None else 0.0
+        emit(args, "eval", {"form": args.form, "point": args.point}, value, text=fmt(value))
         return 0
     values = {
-        "/\\".join(f"d{axis_name(i, form.n)}" for i in idx): c.evaluate(point)
+        "/\\".join(f"d{axis_name(i, form.n)}" for i in idx): c.evaluate(args.point)
         for idx, c in sorted(form.terms.items())
     }
     text = ", ".join(f"{k}: {fmt(v)}" for k, v in values.items()) or "0"
-    emit(args, "eval", {"form": args.form, "point": point}, values, text=text)
+    emit(args, "eval", {"form": args.form, "point": args.point}, values, text=text)
     return 0
 
 
@@ -248,8 +238,6 @@ def cmd_primitive(args):
 
 def cmd_cohomology(args):
     if args.sphere is not None:
-        if args.sphere < 1:
-            raise ParseError("--sphere needs N >= 1")
         betti = co.sphere_betti(args.sphere)
         inputs = {"sphere": args.sphere}
     elif args.nerve:
@@ -336,16 +324,13 @@ def cmd_gauss_bonnet(args):
 
 def cmd_explain(args):
     tables = co.known_cohomology_tables()
-    if args.json:
-        print(json.dumps({"verb": "explain", "inputs": {}, "result": tables,
-                          "provenance": "computed"}, sort_keys=True))
-        return 0
-    print("H^0(connected manifold) = 1")
-    print("H^n(compact connected orientable n-manifold) = 1")
-    print("H^n(compact connected non-orientable n-manifold) = 0")
-    print("compactly supported cohomology of R^n: 1 in degree n, else 0")
-    for n, betti in tables["spheres"].items():
-        print(f"sphere S^{n}: b = {betti}")
+    lines = [
+        "H^0(connected manifold) = 1",
+        "H^n(compact connected orientable n-manifold) = 1",
+        "H^n(compact connected non-orientable n-manifold) = 0",
+        "compactly supported cohomology of R^n: 1 in degree n, else 0",
+    ] + [f"sphere S^{n}: b = {betti}" for n, betti in tables["spheres"].items()]
+    emit(args, "explain", {}, tables, text="\n".join(lines))
     return 0
 
 
@@ -370,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--quad", type=quad, default=16)
+        p.add_argument("--quad", type=quad_points, default=16)
         p.add_argument("--tol", type=finite, default=1e-8)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         return p
 
     add("eval", cmd_eval, form={"required": True}, dim={"type": int, "default": 3},
-        point={"required": True})
+        point={"type": point, "required": True})
     add("d", cmd_d, form={"required": True}, dim={"type": int, "default": 3})
     add("wedge", cmd_wedge, form={"action": "append", "required": True},
         dim={"type": int, "default": 3})
@@ -399,20 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as err:
         return int(err.code or 0)
-    try:
-        return args.fn(args)
-    except ParseError as err:
+    except ExtcalcError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return err.exit_code
     except OverflowError as err:
         print(f"error: numeric overflow ({err})", file=sys.stderr)
         return 1
-    except (ExtcalcError, ValueError, ZeroDivisionError, RecursionError, OSError) as err:
+    except (ValueError, RecursionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -35,11 +35,9 @@ def rank_exact(rows) -> int:
         return 0
     work = []
     for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        work.append([int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in row])
+        # ints carry .numerator and .denominator (1) too, so no entry needs a type test
+        denom = math.lcm(*[x.denominator for x in row])
+        work.append([x.numerator * (denom // x.denominator) for x in row])
     m = len(work)
     n = len(work[0])
     rank = 0
@@ -80,14 +78,14 @@ class Nerve:
 
     def __init__(self, vertices: int, simplices):
         if vertices < 1:
-            raise ValueError("a nerve needs at least one vertex")
+            raise ParseError("a nerve needs at least one vertex")
         closed = set()
         for s in simplices:
             s = frozenset(s)
             if not s:
                 continue
             if any(not 0 <= v < vertices for v in s):
-                raise ValueError(f"simplex {sorted(s)} mentions a missing vertex")
+                raise ParseError(f"simplex {sorted(s)} mentions a missing vertex")
             closed.add(s)
         # complete downward closure and singletons
         stack = list(closed)
@@ -126,10 +124,7 @@ class Nerve:
         indices = [v for s in json_list(simplices, "simplices") for v in json_list(s, "simplex")]
         if not all(isinstance(v, int) for v in [vertices] + indices):
             raise ParseError("nerve vertex count and simplex vertices must be integers")
-        try:
-            return Nerve(vertices, simplices)
-        except ValueError as err:
-            raise ParseError(str(err)) from err
+        return Nerve(vertices, simplices)
 
 
 @dataclass
@@ -189,14 +184,14 @@ def two_points_nerve() -> Nerve:
 def cycle_nerve(m: int = 4) -> Nerve:
     """An m-gon; the nerve of an m-arc good cover of the circle (m >= 3)."""
     if m < 3:
-        raise ValueError("a simplicial circle needs at least 3 vertices")
+        raise ParseError("a simplicial circle needs at least 3 vertices")
     return Nerve(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def sphere_nerve(n: int) -> Nerve:
     """Boundary of the (n+1)-simplex: the minimal triangulation of S^n."""
     if n < 1:
-        raise ValueError("n >= 1")
+        raise ParseError("a sphere S^n needs n >= 1")
     verts = n + 2
     full = tuple(range(verts))
     faces = [full[:i] + full[i + 1:] for i in range(verts)]
@@ -255,9 +250,9 @@ class ExactSequenceProblem:
         if self.ranks is None:
             self.ranks = [None] * (len(self.dims) - 1)
         if len(self.ranks) != len(self.dims) - 1:
-            raise ValueError("need exactly one map between consecutive slots")
+            raise ParseError("need exactly one map between consecutive slots")
         if len(self.dims) < 2:
-            raise ValueError("sequence too short")
+            raise ParseError("sequence too short")
         for end in (0, -1):
             if self.dims[end] not in (None, 0):
                 raise InconsistentSequenceError(
@@ -273,10 +268,7 @@ class ExactSequenceProblem:
             ranks = [json_fields(m, "map", rank=None)[0] for m in json_list(maps, "maps")]
         if not all(v is None or isinstance(v, int) for v in dims + (ranks or [])):
             raise ParseError("slot dims and map ranks must be integers")
-        try:
-            return ExactSequenceProblem(dims, ranks)
-        except ValueError as err:
-            raise ParseError(str(err)) from err
+        return ExactSequenceProblem(dims, ranks)
 
 
 @dataclass
@@ -389,7 +381,7 @@ def sphere_sequence_problem(n: int, intersection_betti) -> ExactSequenceProblem:
 def sphere_betti(n: int):
     """Betti numbers of S^n computed by the Mayer-Vietoris recursion."""
     if n < 1:
-        raise ValueError("n >= 1")
+        raise ParseError("a sphere S^n needs n >= 1")
     intersection = [2]  # two disjoint intervals for the circle's overlap
     betti = None
     for dim in range(1, n + 1):
@@ -405,7 +397,7 @@ def sphere_betti(n: int):
 def poincare_duality_check(betti, orientable: bool = True) -> bool:
     """Palindrome test b_k == b_{n-k}; meaningful for compact orientable X."""
     if not orientable:
-        raise ValueError("duality pairing requires an orientable manifold")
+        raise ParseError("duality pairing requires an orientable manifold")
     return list(betti) == list(reversed(list(betti)))
 
 
@@ -416,7 +408,7 @@ def poincare_duality_check(betti, orientable: bool = True) -> bool:
 def compact_support_euclidean_betti(n: int):
     """Compactly supported cohomology of R^n: one dimension in top degree."""
     if n < 0:
-        raise ValueError("n >= 0")
+        raise ParseError("R^n needs n >= 0")
     return [0] * n + [1]
 
 

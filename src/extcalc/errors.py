@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each class sets its CLI exit code."""
 
 
 class ExtcalcError(Exception):
     """Base class for all errors raised by extcalc."""
 
+    exit_code = 1
+
 
 class ParseError(ExtcalcError):
-    """Malformed input text; carries the offending position."""
+    """Malformed input: text, an input file, or an argument outside its
+    documented domain; carries the offending position when there is one."""
+
+    exit_code = 2
 
     def __init__(self, message, position=None):
         if position is not None:
@@ -32,7 +37,8 @@ class NotPolynomialError(ExtcalcError):
 
 
 class NotClosedError(ExtcalcError):
-    """A closed form was required but d(form) != 0."""
+    """A closed form was required but d(form) != 0, or a closed chain was
+    required but its boundary does not cancel."""
 
 
 class RankDeficientError(ExtcalcError):

@@ -8,7 +8,7 @@ decidable by comparing coefficients.
 
 from __future__ import annotations
 
-from .errors import DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch, ParseError
 from .scalar import (
     ScalarExpr,
     ZERO,
@@ -62,7 +62,7 @@ class DifferentialForm:
 
     def __init__(self, n, k, terms=None):
         if n < 0 or k < 0:
-            raise ValueError("dimension and degree must be nonnegative")
+            raise ParseError("dimension and degree must be nonnegative")
         clean = {}
         for idx, coeff in (terms or {}).items():
             idx = tuple(idx)
@@ -71,7 +71,7 @@ class DifferentialForm:
             if any(not 0 <= i < n for i in idx):
                 raise DimensionMismatch(f"index {idx} outside ambient {n}")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                raise ValueError(f"index {idx} is not strictly increasing")
+                raise ParseError(f"index {idx} is not strictly increasing")
             coeff = as_expr(coeff)
             if coeff.max_axis() >= n:
                 raise DimensionMismatch(f"coefficient of {idx} uses an axis outside R^{n}")

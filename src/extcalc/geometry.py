@@ -21,6 +21,7 @@ from .cells import Cell, Chain, quad_points
 from .errors import (
     DegreeError,
     DimensionMismatch,
+    NotClosedError,
     RankDeficientError,
     SingularityError,
 )
@@ -51,7 +52,7 @@ class Loop:
         pb = self.cell.mapping([b])
         gap = max(abs(x - y) for x, y in zip(pa, pb))
         if gap > 1e-12:
-            raise ValueError(f"endpoints differ by {gap:.3e}; not a closed loop")
+            raise NotClosedError(f"endpoints differ by {gap:.3e}; not a closed loop")
 
     @property
     def ambient(self):
@@ -113,7 +114,7 @@ def mapping_degree(f: SmoothMap, domain, codomain, testform, spec=16):
     """
     denom = integrate(testform, codomain, spec)
     if abs(denom) < 1e-12:
-        raise ZeroDivisionError("test form integrates to zero over the codomain")
+        raise SingularityError("test form integrates to zero over the codomain")
     if isinstance(domain, Cell):
         domain = Chain.of(domain)
     # integrating the test form over the cells remapped by f is exactly the
@@ -220,7 +221,7 @@ class Surface:
 
     def validate_closed(self, spec=16):
         """Integrate a fixed 1-form over the total boundary; near zero for a
-        closed surface (seams cancel), and ValueError above 1e-6."""
+        closed surface (seams cancel), and NotClosedError above 1e-6."""
         x, y, z = variable(0), variable(1), variable(2)
         # includes a circulation term (x dy) so open equatorial seams register
         probe = DifferentialForm(
@@ -230,7 +231,7 @@ class Surface:
         for c in self.cells:
             total += integrate(probe, boundary(c), spec)
         if abs(total) > 1e-6:
-            raise ValueError(
+            raise NotClosedError(
                 f"surface seams do not cancel: probe boundary integral {total:.3e}"
             )
         return total

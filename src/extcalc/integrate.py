@@ -112,7 +112,7 @@ def boundary(domain):
     multiplied by the cell orientation; the faces of [a, b] are 0-cells.
     """
     if isinstance(domain, Chain):
-        return Chain([(w * s, face) for w, c in domain if w for s, face in boundary(c)])
+        return Chain([(w * s, face) for w, c in domain for s, face in boundary(c)])
     cell = domain
     free = free_axes(cell.box)
     if not free:

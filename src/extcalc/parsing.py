@@ -192,7 +192,7 @@ class _Parser:
     def base(self):
         kind, value, pos = self.next()
         if kind == "number":
-            return as_expr(Fraction(value))
+            return as_expr(Fraction(value) if "." in value else int(value))
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -38,6 +38,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatch,
     NotPolynomialError,
+    ParseError,
     SingularityError,
 )
 
@@ -84,7 +85,7 @@ def _var_atom(axis: int) -> _Atom:
     atom = _ATOM_CACHE.get((0, axis))
     if atom is None:
         if axis < 0:
-            raise ValueError("axis index must be >= 0")
+            raise DimensionMismatch("axis index must be >= 0")
         atom = _ATOM_CACHE[(0, axis)] = _Atom("v", axis=axis)
     return atom
 
@@ -263,8 +264,6 @@ def _p_mul(a, b):
 
 
 def _p_pow(p, k: int):
-    if k < 0:
-        raise ValueError("negative power at polynomial level")
     result = _p_one()
     base = p
     while k:
@@ -435,7 +434,7 @@ class ScalarExpr:
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError("not a constant expression")
+            raise ParseError("not a constant expression")
         if not self._num:
             return Fraction(0)
         return Fraction(self._num[_MONO_ONE]) / self._den[_MONO_ONE]
@@ -548,7 +547,7 @@ class ScalarExpr:
     def differentiate(self, axis: int) -> "ScalarExpr":
         """Exact partial derivative with respect to the given axis."""
         if axis < 0:
-            raise ValueError("axis must be >= 0")
+            raise DimensionMismatch("axis must be >= 0")
         if axis not in self.axes():
             return ZERO
         dn = _poly_diff(self._num, axis)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import DegreeError, DimensionMismatch
+from .errors import DegreeError, DimensionMismatch, ParseError
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -118,7 +118,7 @@ class AltTensor:
             if any(not 0 <= i < n for i in idx):
                 raise DimensionMismatch(f"index {idx} outside R^{n}")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                raise ValueError(f"index {idx} not strictly increasing")
+                raise ParseError(f"index {idx} not strictly increasing")
             c = float(c)
             if c != 0.0:
                 clean[idx] = c
@@ -131,7 +131,7 @@ class AltTensor:
     @staticmethod
     def from_generic(g: GenericTensor, tol=1e-10) -> "AltTensor":
         if not g.is_alternating(tol):
-            raise ValueError("tensor is not alternating; apply alt() first")
+            raise ParseError("tensor is not alternating; apply alt() first")
         coeffs = {}
         for idx in itertools.combinations(range(g.n), g.k):
             coeffs[idx] = float(g.coeffs[idx]) if g.k else float(g.coeffs)
@@ -235,7 +235,7 @@ def wedge_constant(k: int, el: int, convention: str = "binomial") -> float:
         return float(math.comb(k + el, k))
     if convention == "unit":
         return 1.0
-    raise ValueError(f"unknown wedge convention {convention!r}")
+    raise ParseError(f"unknown wedge convention {convention!r}")
 
 
 def wedge_alt(a: AltTensor, b: AltTensor, convention: str = "binomial") -> AltTensor:

@@ -411,6 +411,10 @@ class TestHostileInput:
         (chain + ["--quad", "1"], cell % ""),
         (chain + ["--quad", "0"], cell % ""),
         (chain + ["--quad", "65"], cell % ""),
+        (["eval", "--form", "x", "--point", "a", "--dim", "1"], None),
+        (["eval", "--form", "x", "--point", "1,,2", "--dim", "2"], None),
+        (["d", "--form", "1", "--dim", "-1"], None),
+        (chain, cell % ', "weight": "2"'),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"

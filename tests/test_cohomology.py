@@ -27,7 +27,7 @@ from extcalc.cohomology import (
     torus_nerve,
     two_points_nerve,
 )
-from extcalc.errors import InconsistentSequenceError
+from extcalc.errors import InconsistentSequenceError, ParseError
 
 
 class TestRankExact:
@@ -225,7 +225,7 @@ class TestKnownValues:
         assert poincare_duality_check([1, 2, 1])
         assert poincare_duality_check([1, 0, 1])
         assert not poincare_duality_check([1, 1, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             poincare_duality_check([1, 1, 0], orientable=False)
 
     def test_duality_for_spheres_and_torus(self):

@@ -10,7 +10,7 @@ import pytest
 from extcalc import scalar as S
 from extcalc import shapes as sh
 from extcalc.cells import Cell, Chain
-from extcalc.errors import DegreeError, DimensionMismatch, SingularityError
+from extcalc.errors import DegreeError, DimensionMismatch, ParseError, SingularityError
 from extcalc.forms import (
     DifferentialForm,
     VectorFieldSym,
@@ -69,11 +69,16 @@ class TestChains:
     def test_weights_must_be_integers(self):
         cell = sh.interval_cell(0, 1)
         for weight in (0.5, 1.9, "2"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ParseError):
                 Chain([(weight, cell)])
         chain = Chain([(2.0, cell)])
         assert chain.terms[0][0] == 2 and isinstance(chain.terms[0][0], int)
         assert integrate(DF.basis(1, 0), chain) == 2.0
+
+    def test_zero_weight_chain_has_a_boundary(self):
+        # the faces of a weight-0 cell carry weight 0; the boundary is not empty
+        chain = Chain([(0, sh.interval_cell(0, 1))])
+        assert stokes_check(DF.from_scalar(1, x), chain) == (0.0, 0.0, 0.0)
 
     def test_fundamental_theorem(self):
         f = DF.from_scalar(1, x**3 + x)
@@ -347,13 +352,13 @@ class TestQuadratureBehavior:
     def test_quadrature_order_validated(self):
         w = DF(2, 1, {(1,): x})
         cell = sh.circle_cell()
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             integrate_cell(w, cell, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             integrate_cell(w, cell, 65)
 
     def test_degenerate_box_rejected(self):
         from extcalc.maps import SmoothMap as SM
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Cell(((1.0, 1.0),), SM(1, 1, [x]))
