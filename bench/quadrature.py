@@ -1,16 +1,20 @@
-"""Before/after timings of the quadrature paths, written as BENCH_quadrature.json.
+"""Before/after timings of the quadrature paths, written as BENCH_integrate.json.
 
     python bench/quadrature.py --before OLD/src
 
 Run it from the root of a checkout; OLD is a checkout of the commit to
 compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
 measuring process per side and times REPEAT calls of each row after one
-untimed call (so code generation and symbolic caches are warm, as in a
-reused geometry).  The ``integrate_cell`` rows include the symbolic
-pullback of the form, which runs on every call; a ``stokes_check`` row runs
-20 checks on fresh integrands, so it includes pullback and code generation
-too, and reports the time per check.  For every row and side the output
-holds the number of timed calls and their min and median.
+untimed call (so the compiled batches of a reused map are warm, as in a
+reused geometry).  The ``integrate_cell`` and ``stokes_half_ball`` rows
+include what the integration path builds from the form on every call: the
+symbolic pullback on the "before" side of BENCH_integrate.json, a compiled
+batch of the form's coefficients on its "after" side.  A ``stokes_fresh``
+row runs 20 checks on fresh integrands and maps, so it includes all
+symbolic work and code generation, and reports the time per check.  For
+every row and side the output holds the number of timed calls and their min
+and median.  BENCH_quadrature.json is the earlier record of the same
+script, from when it replaced the per-node loops.
 """
 
 from __future__ import annotations
@@ -71,6 +75,9 @@ def _rows():
     rows["quadrature_k1_q64"] = ("ns/node", 64, lambda: ec.integrate_cell(angular, circle, 64))
     rows["quadrature_k2_q64"] = ("ns/node", 64**2, lambda: ec.integrate_cell(area, sphere, 64))
     rows["quadrature_k3_q32"] = ("ns/node", 32**3, lambda: ec.integrate_cell(ball, half_ball, 32))
+    rows["quadrature_k3_q48"] = ("ns/node", 48**3, lambda: ec.integrate_cell(ball, half_ball, 48))
+    flux = ec.parse_form("x*z*dx/\\dy + (y + 1)*dy/\\dz", 3)
+    rows["stokes_half_ball_q16"] = ("ms", 1, lambda: ec.stokes_check(flux, half_ball, 16))
     surfaces = {
         "sphere": ec.Surface([shapes.sphere_cell()], 2),
         "torus": ec.Surface([shapes.torus_cell()], 0),
@@ -97,4 +104,4 @@ def _rows():
 
 
 if __name__ == "__main__":
-    beforeafter.main(__doc__, __file__, "quadrature", _rows, ROUNDS, REPEAT)
+    beforeafter.main(__doc__, __file__, "integrate", _rows, ROUNDS, REPEAT)

@@ -19,11 +19,20 @@ from .maps import SmoothMap
 
 
 def quad_points(spec) -> int:
-    """The Gauss-Legendre points per axis, an integer in 2..64."""
-    spec = int(spec)
+    """The Gauss-Legendre points per axis, an integer in 2..64, given as an
+    integer, an integral float or an integer string such as "16"."""
+    if isinstance(spec, str):
+        try:
+            spec = int(spec)
+        except ValueError:
+            raise ParseError(f"quadrature order {spec!r} is not an integer") from None
+    elif isinstance(spec, float) and spec.is_integer():
+        spec = int(spec)
+    if not isinstance(spec, Integral):
+        raise ParseError(f"quadrature order {spec!r} is not an integer")
     if not 2 <= spec <= 64:
         raise ParseError("quadrature order must be in 2..64")
-    return spec
+    return int(spec)
 
 
 def free_axes(box) -> tuple:

@@ -28,7 +28,7 @@ from .errors import (
 from .forms import DifferentialForm, angular_form
 from .integrate import boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
-from .scalar import evaluate_columns, variable
+from .scalar import variable
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -66,7 +66,7 @@ class Loop:
 
         (a, b), = self.cell.box
         ts = np.linspace(a, b, count, endpoint=False)
-        return evaluate_columns(self.cell.mapping.components, [ts]).T
+        return self.cell.mapping.columns([ts])[0].T
 
 
 _GUARD_SAMPLES = 1024
@@ -152,30 +152,28 @@ def _point(params):
     return [np.array([float(p)]) for p in params]
 
 
-def _surface_frame(cell: Cell, cols):
+def _surface_frame(cell: Cell, cols, order=1):
     """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
-    the area element |r_s x r_t| at the nodes; the first node with an area
-    element below 1e-12 raises RankDeficientError naming that node."""
+    the area element |r_s x r_t| at the nodes, and for order 2 also the
+    exact r_ss, r_st, r_tt, all from one batch of the map; the first node
+    with an area element below 1e-12 raises RankDeficientError naming that
+    node."""
     import numpy as np
 
     if cell.k != 2 or cell.mapping.n != 2 or cell.ambient != 3:
         raise DimensionMismatch("Gauss map needs an unpinned surface cell in R^3")
-    exprs = [row[j] for j in (0, 1) for row in cell.mapping.jacobian()]
-    r_s, r_t = evaluate_columns(exprs, cols).reshape(2, 3, -1)
+    _, jac, *second = cell.mapping.columns(cols, order)
+    r_s, r_t = jac[:, 0], jac[:, 1]
     cross = np.cross(r_s, r_t, axis=0)
     area = np.sqrt(np.sum(cross * cross, axis=0))
     bad = np.flatnonzero(area < 1e-12)
     if bad.size:
         node = tuple(float(c[bad[0]]) for c in cols)
         raise RankDeficientError(f"rank-deficient node {node}")
-    return r_s, r_t, cell.orientation * cross / area, area
-
-
-def _second_partials(cell: Cell, cols):
-    """Exact r_ss, r_st, r_tt at the nodes, each a 3 x n array."""
-    pairs = ((0, 0), (0, 1), (1, 1))
-    exprs = [h[j][l] for j, l in pairs for h in cell.mapping.hessian()]
-    return evaluate_columns(exprs, cols).reshape(3, 3, -1)
+    frame = (r_s, r_t, cell.orientation * cross / area, area)
+    for h in second:
+        frame += (h[:, 0, 0], h[:, 0, 1], h[:, 1, 1])
+    return frame
 
 
 def gauss_map(cell: Cell, params) -> np.ndarray:
@@ -191,11 +189,10 @@ def shape_operator(cell: Cell, params) -> np.ndarray:
     """
     import numpy as np
 
-    cols = _point(params)
-    r_s, r_t, normal, _ = _surface_frame(cell, cols)
+    r_s, r_t, normal, _, *second = _surface_frame(cell, _point(params), 2)
     tangents = (r_s[:, 0], r_t[:, 0])
     first = [[a @ b for b in tangents] for a in tangents]
-    l, m, n = (r[:, 0] @ normal[:, 0] for r in _second_partials(cell, cols))
+    l, m, n = (r[:, 0] @ normal[:, 0] for r in second)
     return -np.linalg.solve(first, [[l, m], [m, n]])
 
 
@@ -254,8 +251,8 @@ def _curvature_density(cell: Cell, cols):
     Geometry of Curves and Surfaces, 1976, section 3-3), EG - F^2 = dA^2."""
     import numpy as np
 
-    r_s, r_t, normal, area = _surface_frame(cell, cols)
-    l, m, n = (np.sum(r * normal, axis=0) for r in _second_partials(cell, cols))
+    _, _, normal, area, *second = _surface_frame(cell, cols, 2)
+    l, m, n = (np.sum(r * normal, axis=0) for r in second)
     return (l * n - m * m) / area
 
 
@@ -291,8 +288,7 @@ def _pullback_density(cell: Cell, cols):
     normal parts drop out of the determinant, leaving n . (c_s x c_t)/|c|^2."""
     import numpy as np
 
-    r_s, r_t, normal, area = _surface_frame(cell, cols)
-    r_ss, r_st, r_tt = _second_partials(cell, cols)
+    r_s, r_t, normal, area, r_ss, r_st, r_tt = _surface_frame(cell, cols, 2)
     c_s = np.cross(r_ss, r_t, axis=0) + np.cross(r_s, r_st, axis=0)
     c_t = np.cross(r_st, r_t, axis=0) + np.cross(r_s, r_tt, axis=0)
     return np.sum(normal * np.cross(c_s, c_t, axis=0), axis=0) / (area * area)
@@ -357,10 +353,8 @@ def _loop_tables(loop: Loop, q: int):
     """Positions and velocities (q x m arrays) at the Gauss-Legendre nodes,
     and the node weights."""
     cols, weights = box_rule(loop.cell.box, q)
-    mapping = loop.cell.mapping
-    exprs = list(mapping.components) + [row[0] for row in mapping.jacobian()]
-    values = evaluate_columns(exprs, cols)
-    return values[:mapping.m].T, values[mapping.m:].T, weights
+    values, jac = loop.cell.mapping.columns(cols)
+    return values.T, jac[:, 0].T, weights
 
 
 def _loop_extent(points: np.ndarray) -> float:

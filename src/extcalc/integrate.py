@@ -1,13 +1,18 @@
 """Numeric integration of forms over chains; boundaries; Stokes checks.
 
-The semantics is the limit of Riemann sums over parameter boxes; the
-evaluator is tensor-product Gauss-Legendre quadrature applied to the
-coefficient of the pulled-back form along the free axes of the cell;
+The semantics is the limit of Riemann sums over parameter boxes.  The
+evaluator is tensor-product Gauss-Legendre quadrature, over the free axes u
+of a cell with map g, of the pulled-back coefficient
+sum_I a_I(g(u)) det(dg_I/du) (Spivak, Calculus on Manifolds, ch. 4): the
+map's components and Jacobian come from its compiled batch, the
+coefficients a_I are evaluated on the component columns, and each k x k
+minor is an explicit sum of products, so no pulled-back form is built.
 ``box_rule`` lays out the nodes of every quadrature in the package.  A face
-is its parent cell with one parameter pinned, so it is integrated through the
-parent's map, whose pullback every face shares within one call.  Node
-contributions are summed by ``np.sum`` in lexicographic order and chain terms
-in list order, so results are bit-reproducible.
+is its parent cell with one parameter pinned, so it is integrated through
+the parent's map with the pinned column of the Jacobian left out.  Nodes are
+evaluated in blocks of _BLOCK, node contributions are summed by one
+``np.sum`` in lexicographic order and chain terms in list order, so results
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from functools import lru_cache
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
-from .maps import pullback
-from .scalar import evaluate_columns
+from .scalar import Batch, evaluate_nodes
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -57,9 +61,46 @@ def box_rule(box, q: int):
     return cols, weights
 
 
-def _cell_integral(form: DifferentialForm, cell: Cell, q: int, pulled: dict) -> float:
-    """Integral of a k-form over an oriented k-cell; ``pulled`` holds the
-    pullback of the form through every cell map seen so far in this call."""
+# Nodes evaluated at a time: columns of a whole fine 3-cell (q=48 has 110592
+# nodes) run slower than blocks that stay in cache, and take more memory.
+_BLOCK = 4096
+
+
+def _minors(entry, row_sets, free):
+    """The determinant of the Jacobian on each set of rows (codomain axes)
+    and the free columns, expanded along the last column, sub-minors shared.
+    entry(i, j) is an entry, or None where it is identically zero; a minor
+    with no nonzero term is None."""
+    memo = {(): 1.0}
+    return [_minor(entry, rows, free, memo) for rows in row_sets]
+
+
+# a module function: a nested closure that calls itself is a reference cycle,
+# which would hold every block's arrays until the cyclic collector runs
+def _minor(entry, rows, free, memo):
+    if rows not in memo:
+        last = len(rows) - 1
+        total = None
+        for r, i in enumerate(rows):
+            a = entry(i, free[last])
+            sub = None if a is None else _minor(entry, rows[:r] + rows[r + 1:], free, memo)
+            if sub is None:
+                continue
+            term = a if last == 0 else a * sub
+            if total is None:
+                total = -term if (last - r) % 2 else term
+            else:
+                total = total - term if (last - r) % 2 else total + term
+        memo[rows] = total
+    return memo[rows]
+
+
+def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) -> float:
+    """Integral of a k-form over an oriented k-cell; ``batches`` holds the
+    coefficient batches compiled so far in this call, keyed by the terms
+    they evaluate."""
+    import numpy as np
+
     if form.k != cell.k:
         raise DegreeError(
             f"degree-{form.k} form cannot be integrated over a {cell.k}-cell"
@@ -68,19 +109,61 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int, pulled: dict) -> 
         raise DimensionMismatch(
             f"form on R^{form.n} vs cell in R^{cell.ambient}"
         )
-    if cell.mapping not in pulled:
-        pulled[cell.mapping] = pullback(cell.mapping, form)
-    coeff = pulled[cell.mapping].terms.get(free_axes(cell.box))
-    if coeff is None:
+    g = cell.mapping
+    m, n = g.m, g.n
+    free = free_axes(cell.box)
+    jac = g.jacobian()
+    zero = [[e.is_zero() for e in row] for row in jac]
+    # the terms whose minor is not identically zero
+    shape = _minors(lambda i, j: None if zero[i][j] else 1, list(form.terms), free)
+    terms = tuple(idx for idx, s in zip(form.terms, shape) if s is not None)
+    if not terms:
         return 0.0
+    if terms not in batches:
+        batches[terms] = Batch(form.terms[idx] for idx in terms)
+    coeffs = batches[terms]
+
+    def integrand(comps, entry, evaluate):
+        """sum_I a_I(g) det(dg_I/du) from the component values and the
+        Jacobian entries entry(i, j), None where identically zero."""
+        minors = _minors(entry, terms, free)
+        return sum(a * minor for a, minor in zip(evaluate(comps), minors))
+
+    def at_node(p):
+        """The integrand at one node from the scalar evaluators of what it
+        uses, so a derivative along a pinned axis is never evaluated."""
+        comps = [c.compiled()(p) for c in g.components]
+        return integrand(
+            comps, lambda i, j: None if zero[i][j] else jac[i][j].compiled()(p), coeffs.at
+        )
+
+    batch = g.batch()
     cols, weights = box_rule(cell.box, q)
-    try:
-        (values,) = evaluate_columns([coeff], cols)
-    except SingularityError as err:
-        raise SingularityError(
-            f"integrand singular at quadrature node {err.node}: {err}"
-        ) from err
-    return cell.orientation * float((weights * values).sum())
+    values = np.empty(len(weights))
+    for start in range(0, len(weights), _BLOCK):
+        block = [c[start:start + _BLOCK] for c in cols]
+        try:
+            with np.errstate(all="ignore"):
+                jet = batch.columns(block)
+                part = integrand(
+                    jet[:m],
+                    lambda i, j: None if zero[i][j] else jet[m + i * n + j],
+                    coeffs.columns,
+                )
+            good = np.isfinite(part).all()
+        except (SingularityError, ArithmeticError):
+            good = False
+        if not good:
+            # again one node at a time, so the first bad node is named in
+            # the parent's parameter coordinates, pinned values included
+            try:
+                part = evaluate_nodes(at_node, block)
+            except SingularityError as err:
+                raise SingularityError(
+                    f"integrand singular at quadrature node {err.node}: {err}"
+                ) from err
+        values[start:start + _BLOCK] = part
+    return cell.orientation * float(np.sum(weights * values))
 
 
 def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
@@ -95,11 +178,11 @@ def integrate(form: DifferentialForm, domain, spec=16) -> float:
     if not isinstance(domain, Chain):
         raise TypeError(f"cannot integrate over {type(domain).__name__}")
     q = quad_points(spec)
-    pulled = {}
+    batches = {}
     total = 0.0
     for w, cell in domain:
         if w:
-            total += w * _cell_integral(form, cell, q, pulled)
+            total += w * _cell_integral(form, cell, q, batches)
     return total
 
 

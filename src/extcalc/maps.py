@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .forms import DifferentialForm, _add_term
-from .scalar import ScalarExpr, as_expr, variable
+from .scalar import Batch, ScalarExpr, as_expr, variable
 
 
 class SmoothMap:
     """A map R^n -> R^m given by m component expressions in n variables."""
 
-    __slots__ = ("n", "m", "components", "_jac", "_hess")
+    __slots__ = ("n", "m", "components", "_jac", "_hess", "_batches")
 
     def __init__(self, n, m, components):
         components = tuple(as_expr(c) for c in components)
@@ -26,6 +26,7 @@ class SmoothMap:
         self.components = components
         self._jac = None
         self._hess = None
+        self._batches = {}
 
     @staticmethod
     def identity(n):
@@ -72,6 +73,35 @@ class SmoothMap:
     def jacobian_at(self, point):
         point = list(point)
         return [[e.compiled()(point) for e in row] for row in self.jacobian()]
+
+    def batch(self, order=1) -> Batch:
+        """One evaluator of the components, then the Jacobian entries row by
+        row, then for order 2 the second derivatives d^2 g_i / dx_j dx_l with
+        j <= l, row by row; compiled once and kept for the map's lifetime."""
+        if order not in self._batches:
+            exprs = list(self.components)
+            exprs += [e for row in self.jacobian() for e in row]
+            if order == 2:
+                exprs += [h[j][l] for h in self.hessian()
+                          for j in range(self.n) for l in range(j, self.n)]
+            self._batches[order] = Batch(exprs)
+        return self._batches[order]
+
+    def columns(self, cols, order=1):
+        """g, its Jacobian and for order 2 its second derivatives at the
+        nodes of the columns (one float array per parameter): arrays of
+        shape (m, N), (m, n, N) and (m, n, n, N), from ``Batch.evaluate``,
+        so a failure names its node."""
+        values = self.batch(order).evaluate(cols)
+        m, n = self.m, self.n
+        out = [values[:m], values[m:m + m * n].reshape(m, n, -1)]
+        if order == 2:
+            upper = values[m + m * n:].reshape(m, n * (n + 1) // 2, -1)
+            # entry (j, l) is read from the pair (min, max)
+            pairs = [(j, l) for j in range(n) for l in range(j, n)]
+            index = [[pairs.index((min(j, l), max(j, l))) for l in range(n)] for j in range(n)]
+            out.append(upper[:, index])
+        return out
 
     def jacobian_determinant(self) -> ScalarExpr:
         if self.n != self.m:

@@ -364,7 +364,7 @@ class ScalarExpr:
     """Immutable symbolic scalar in canonical num/den normal form."""
 
     __slots__ = (
-        "_num", "_den", "_sorted_key", "_hash", "_axes", "_compiled", "_columns", "_str"
+        "_num", "_den", "_sorted_key", "_hash", "_axes", "_compiled", "_str"
     )
 
     def __init__(self, num, den):
@@ -375,7 +375,6 @@ class ScalarExpr:
         self._hash = None
         self._axes = None
         self._compiled = None
-        self._columns = None
         self._str = None
 
     # -- construction -------------------------------------------------------
@@ -595,17 +594,6 @@ class ScalarExpr:
         if self._compiled is None:
             self._compiled = _compile(self, _EVAL_GLOBALS)
         return self._compiled
-
-    def compiled_columns(self):
-        """The same generated code run over numpy columns: ``f(cols)`` takes
-        one float array per axis and returns the values at every node (a
-        scalar for a constant expression).  Where a division, ln or sqrt
-        guard would trip at some node, it raises the SingularityError the
-        scalar evaluator raises; other faults surface as inf/nan, so call it
-        under ``np.errstate(all="ignore")`` and check the result."""
-        if self._columns is None:
-            self._columns = _compile(self, _column_globals())
-        return self._columns
 
     # -- presentation ---------------------------------------------------------
 
@@ -884,37 +872,72 @@ class _CodeGen:
         return f"_div({num}, {den})"
 
 
-def evaluate_columns(exprs, cols):
-    """Values of the expressions at every node, an array of shape
-    (len(exprs), nodes); cols holds one float array per axis.
+class Batch:
+    """Expressions compiled together into one evaluator, so that a function
+    atom they share is computed once per node.
 
-    The expressions run as numpy column code.  If a guard trips or a value
-    is not finite, the nodes are evaluated again one at a time, in order,
-    with the scalar evaluators: a failure then raises exactly what the
-    scalar evaluator raises at the first bad node, and a SingularityError
-    carries that node as its ``node`` attribute.
+    ``at(point)`` returns the tuple of values at one point.  ``columns(cols)``
+    runs the same code over numpy columns, one float array (or one number,
+    for an axis held constant) per axis, and returns one array or number per
+    expression.  Where a division, ln or sqrt guard would trip at some node
+    it raises the SingularityError the scalar evaluator raises; other faults
+    surface as inf/nan, so call it under ``np.errstate(all="ignore")`` and
+    check the result, or call ``evaluate``, which does both.
     """
-    import numpy as np
 
-    count = len(cols[0]) if cols else 1  # a point has one node and no axes
-    try:
-        with np.errstate(all="ignore"):
-            values = [e.compiled_columns()(cols) for e in exprs]
-        # a constant expression evaluates to a scalar
-        values = np.array([v if np.ndim(v) else np.full(count, v) for v in values])
-        if np.isfinite(values).all():
-            return values
-    except SingularityError:
-        pass
-    fns = [e.compiled() for e in exprs]
-    rows = []
+    __slots__ = ("exprs", "_at", "_columns")
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self._at = None
+        self._columns = None
+
+    def at(self, point) -> tuple:
+        if self._at is None:
+            self._at = _compile(self.exprs, _EVAL_GLOBALS)
+        return self._at(point)
+
+    def columns(self, cols) -> tuple:
+        if self._columns is None:
+            self._columns = _compile(self.exprs, _column_globals())
+        return self._columns(cols)
+
+    def evaluate(self, cols):
+        """Values at every node, an array of shape (len(exprs), nodes).
+
+        The columns run first.  If a guard trips or a value is not finite,
+        the nodes are evaluated again one at a time by ``evaluate_nodes``,
+        so a failure raises exactly what the scalar evaluator raises at the
+        first bad node.
+        """
+        import numpy as np
+
+        try:
+            with np.errstate(all="ignore"):
+                values = self.columns(cols)
+            # a constant expression evaluates to a number
+            out = np.empty((len(values), len(cols[0]) if cols else 1))
+            for row, v in zip(out, values):
+                row[...] = v
+            if np.isfinite(out).all():
+                return out
+        except (SingularityError, ArithmeticError):
+            pass
+        return np.array(evaluate_nodes(self.at, cols)).T
+
+
+def evaluate_nodes(f, cols) -> list:
+    """f at every node of the columns (a point has one node and no axes), in
+    order, each node a tuple of floats; a SingularityError carries the first
+    bad node as its ``node`` attribute."""
+    out = []
     for point in zip(*(c.tolist() for c in cols)) if cols else [()]:
         try:
-            rows.append([f(point) for f in fns])
+            out.append(f(point))
         except SingularityError as err:
             err.node = point
             raise
-    return np.array(rows).T
+    return out
 
 
 @functools.cache
@@ -940,9 +963,15 @@ def _column_globals():
             "_exp": np.exp, "_sin": np.sin, "_cos": np.cos}
 
 
-def _compile(e: ScalarExpr, namespace):
+def _compile(exprs, namespace):
+    """A generated function f(p) of a point or of columns p: the value of
+    one expression, or the tuple of values of a sequence of them, with each
+    function atom computed once."""
     gen = _CodeGen()
-    result = gen.expr_src(e)
+    if isinstance(exprs, ScalarExpr):
+        result = gen.expr_src(exprs)
+    else:
+        result = "(" + "".join(f"{gen.expr_src(e)}, " for e in exprs) + ")"
     body = "\n    ".join(gen.lines + [f"return {result}"])
     src = f"def _f(p):\n    {body}\n"
     namespace = dict(namespace)

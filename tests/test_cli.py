@@ -415,6 +415,7 @@ class TestHostileInput:
         (["eval", "--form", "x", "--point", "1,,2", "--dim", "2"], None),
         (["d", "--form", "1", "--dim", "-1"], None),
         (chain, cell % ', "weight": "2"'),
+        (chain + ["--quad", "2.5"], cell % ""),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"

@@ -35,6 +35,9 @@ arc = SmoothMap(1, 2, [S.cos(x), S.sin(x)])
 CASES = [
     ("quad-low", ParseError, lambda: quad_points(1)),
     ("quad-high", ParseError, lambda: quad_points(65)),
+    ("quad-fraction", ParseError, lambda: quad_points(2.5)),
+    ("quad-truncated", ParseError, lambda: quad_points(64.9)),
+    ("quad-text", ParseError, lambda: quad_points("2.5")),
     ("cell-interval", ParseError, lambda: Cell(((1.0, 1.0),), line)),
     ("cell-orientation", ParseError, lambda: Cell(((0.0, 1.0),), line, orientation=2)),
     ("cell-inf", ParseError, lambda: Cell(((0.0, math.inf),), line)),
@@ -76,6 +79,11 @@ CASES = [
 def test_bad_argument_raises_its_class(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_quad_points_takes_integer_values():
+    # --quad passes its text through quad_points
+    assert quad_points("16") == quad_points(16) == quad_points(16.0) == 16
 
 
 def test_error_class_sets_exit_code():

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from extcalc import scalar as S
 from extcalc import shapes as sh
-from extcalc.cells import Cell, Chain
+from extcalc.cells import Cell, Chain, free_axes
 from extcalc.errors import DegreeError, DimensionMismatch, ParseError, SingularityError
 from extcalc.forms import (
     DifferentialForm,
@@ -22,14 +24,15 @@ from extcalc.forms import (
 )
 from extcalc.integrate import (
     boundary,
+    box_rule,
     hemisphere_transfer_check,
     integrate,
     integrate_cell,
     stokes_check,
 )
-from extcalc.maps import SmoothMap, compose, freeze_axis
+from extcalc.maps import SmoothMap, compose, freeze_axis, pullback
 
-from helpers import count_calls, make_rng, rand_form, rand_map, rand_poly
+from helpers import count_calls, make_rng, rand_elementary, rand_form, rand_map, rand_poly
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -147,15 +150,22 @@ class TestFaces:
                 expected = integrate_cell(form, frozen, 6)
                 assert math.isclose(pinned, expected, rel_tol=1e-13, abs_tol=1e-15)
 
-    def test_faces_share_one_pullback(self, monkeypatch):
-        # the package exports a function named integrate, hiding the module
-        module = importlib.import_module("extcalc.integrate")
-        calls = count_calls(monkeypatch, module, "pullback")
+    def test_stokes_builds_no_pullback_and_one_map_batch(self, monkeypatch):
+        maps = importlib.import_module("extcalc.maps")
+        # count pullback wherever a module of the package looks it up
+        pullbacks = [
+            count_calls(monkeypatch, module, "pullback")
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "extcalc"
+            and getattr(module, "pullback", None) is maps.pullback
+        ]
+        batches = count_calls(monkeypatch, maps, "Batch")
         w = DF(3, 2, {(0, 1): x * z, (1, 2): y + 1})
         _, _, res = stokes_check(w, sh.half_ball_cell(), 8)
         assert res <= 1e-8
-        # one for d(w) over the ball, one shared by its six faces
-        assert len(calls) == 2
+        assert pullbacks and all(calls == [] for calls in pullbacks)
+        # the ball and its six faces share the map's value-and-Jacobian batch
+        assert len(batches) == 1
 
     def test_face_singularity_names_parent_coordinates(self):
         u, v = S.variable(0), S.variable(1)
@@ -165,6 +175,30 @@ class TestFaces:
             integrate(w, boundary(cell), 4)
         assert err.value.__cause__.node[0] == 0.0
         assert "node (0.0, 2." in str(err.value)
+
+    def test_face_singularity_through_a_map_names_parameters(self):
+        # g(0, v) = (0, 2 + v): ln(x) blows up on the face u = 0, and the
+        # node is named in the parameters (u, v), not at the point g(u, v)
+        u, v = S.variable(0), S.variable(1)
+        cell = Cell(((0.0, 1.0), (0.0, 1.0)), SmoothMap(2, 2, [u * v, 2 + u + v]))
+        w = DF(2, 1, {(1,): S.ln(x)})
+        with pytest.raises(SingularityError) as err:
+            integrate(w, boundary(cell), 4)
+        first = box_rule(((0.0, 1.0),), 4)[0][0][0].item()
+        assert err.value.__cause__.node == (0.0, first)
+        assert f"quadrature node (0.0, {first!r}): ln of a non-positive value" in str(err.value)
+
+    def test_face_never_evaluates_its_pinned_derivative(self):
+        # d/dr sqrt(r) is singular on the face r = 0, which does not use it
+        r, t = S.variable(0), S.variable(1)
+        comps = [S.sqrt(r) * S.cos(t), S.sqrt(r) * S.sin(t)]
+        disk = Cell(((0.0, 1.0), (0.0, TWO_PI)), SmoothMap(2, 2, comps))
+        w = DF(2, 1, {(1,): x})
+        center = list(boundary(disk))[1][1]
+        assert center.box[0] == 0.0
+        assert integrate_cell(w, center, 8) == 0.0
+        lhs, rhs, _ = stokes_check(w, disk, 8)
+        assert abs(lhs - math.pi) <= 1e-12 and abs(rhs - math.pi) <= 1e-4
 
     def test_stokes_on_points_rejected(self):
         points = boundary(sh.interval_cell(0, 1))
@@ -187,6 +221,75 @@ class TestFaces:
     def test_map_must_take_every_box_entry(self):
         with pytest.raises(DimensionMismatch):
             Cell(((0.0, 1.0), 0.5), SmoothMap.identity(1))
+
+
+def symbolic_integral(form, cell, q):
+    """The reference route: the pulled-back form built symbolically, then
+    the quadrature of its coefficient on the free axes, with the printed
+    coefficient evaluated at every node in 40-digit arithmetic, so that the
+    round-off of the expanded coefficient does not enter.  Returns the
+    integral and the sum of |weight * value| over the nodes."""
+    mpmath = pytest.importorskip("mpmath")
+
+    coeff = pullback(cell.mapping, form).terms.get(free_axes(cell.box))
+    if coeff is None:
+        return 0.0, 0.0
+    # integer literals become exact mpf values; exponents stay ints
+    text = re.sub(r"(?<![\^\w])(\d+)", r"mpf(\1)", S.format_expr(coeff, 3))
+    code = compile(text.replace("^", "**"), "<coefficient>", "eval")
+    env = {"mpf": mpmath.mpf, "exp": mpmath.exp, "ln": mpmath.log,
+           "sin": mpmath.sin, "cos": mpmath.cos, "sqrt": mpmath.sqrt}
+    cols, weights = box_rule(cell.box, q)
+    with mpmath.workdps(40):
+        terms = [mpmath.mpf(w) * eval(code, {**env, **dict(zip("xyz", map(mpmath.mpf, p)))})
+                 for p, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist())]
+        total, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+    return cell.orientation * float(total), float(scale)
+
+
+class TestPullbackOracle:
+    """integrate against the symbolic pullback on random maps and forms."""
+
+    @staticmethod
+    def _case(rng, k, m, kind):
+        box = []
+        for _ in range(k):
+            a = rng.choice((-1.0, -0.5, 0.0, 0.25))
+            box.append((a, a + rng.choice((0.5, 1.0, 1.5))))
+        if kind == "elementary-map":
+            # no quotient components: without a polynomial gcd their symbolic
+            # pullback swells past what the reference route can compile
+            comps = [rand_poly(rng, k, 2) + rng.choice((S.exp, S.sin, S.cos))(
+                rand_poly(rng, k, 1, terms=2)) for _ in range(m)]
+            g = SmoothMap(k, m, comps)
+        else:
+            g = rand_map(rng, k, m, degree=2)
+        form = rand_form(rng, m, k - 1)
+        if kind == "elementary-form":
+            form = DF(m, k - 1, {idx: rand_elementary(rng, m) for idx in form.terms})
+        return Cell(tuple(box), g), form
+
+    def _check(self, form, cell, q):
+        expected, scale = symbolic_integral(form, cell, q)
+        got = integrate(form, cell, q)
+        assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=1e-13 * scale)
+
+    @pytest.mark.parametrize("kind", ["poly", "elementary-map", "elementary-form"])
+    def test_cells_faces_and_points(self, kind):
+        """Full cells with k <= m, where the minors of several index sets add
+        up; each of their faces, pinned on one parameter; and the 0-cells at
+        the ends of 1-cells."""
+        rng = make_rng(90)
+        seen = set()
+        for _ in range(12):
+            k = rng.randint(1, 3)
+            m = rng.randint(k, 3)
+            cell, form = self._case(rng, k, m, kind)
+            self._check(form.d(), cell, 5)
+            for _, face in boundary(cell):
+                self._check(form, face, 5)
+            seen.add((k, m))
+        assert {(1, 1), (2, 3), (1, 3)} <= seen
 
 
 class TestStokes:

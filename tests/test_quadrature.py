@@ -13,7 +13,7 @@ from extcalc.forms import DifferentialForm
 from extcalc.geometry import Loop, linking_number
 from extcalc.integrate import box_rule, integrate_cell
 from extcalc.maps import SmoothMap
-from extcalc.scalar import evaluate_columns
+from extcalc.scalar import Batch
 
 from helpers import make_rng, rand_elementary, rand_poly
 
@@ -89,7 +89,7 @@ def test_column_values_match_scalar_loop(k):
         f = coeff.compiled()
         for q in (2, 5, 16):
             cols, _ = box_rule(box, q)
-            (values,) = evaluate_columns([coeff], cols)
+            (values,) = Batch([coeff]).evaluate(cols)
             ref = np.array([f(p) for p, _ in reference_rule(box, q)])
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(values - ref)) <= 1e-13 * scale
@@ -101,8 +101,21 @@ def test_column_values_match_scalar_loop(k):
 
 def test_constant_expression_fills_the_column():
     cols, _ = box_rule(BOXES[1], 5)
-    (values,) = evaluate_columns([S.constant(3)], cols)
+    (values,) = Batch([S.constant(3)]).evaluate(cols)
     assert values.shape == (25,) and np.all(values == 3.0)
+
+
+def test_batch_computes_a_shared_atom_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(S._column_globals(), "_sin", lambda u: calls.append(u) or np.sin(u))
+    exprs = [S.sin(x), 2 * S.sin(x) * S.cos(x), S.sin(x) ** 2 + x]
+    cols, _ = box_rule(BOXES[0], 5)
+    values = Batch(exprs).evaluate(cols)
+    assert len(calls) == 1
+    for e, row in zip(exprs, values):
+        f = e.compiled()
+        ref = np.array([f(p) for p, _ in reference_rule(BOXES[0], 5)])
+        assert np.max(np.abs(row - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
 
 
 HOSTILE = [
