@@ -1,4 +1,4 @@
-"""Before/after timings of the quadrature paths, written as BENCH_integrate.json.
+"""Before/after timings of quadrature and the loop guard, written as BENCH_guard.json.
 
     python bench/quadrature.py --before OLD/src
 
@@ -13,8 +13,12 @@ batch of the form's coefficients on its "after" side.  A ``stokes_fresh``
 row runs 20 checks on fresh integrands and maps, so it includes all
 symbolic work and code generation, and reports the time per check.  For
 every row and side the output holds the number of timed calls and their min
-and median.  BENCH_quadrature.json is the earlier record of the same
-script, from when it replaced the per-node loops.
+and median.  The ``linking_*`` and ``winding_q32`` rows include the distance
+guard on 1024 samples per loop; ``linking_far_q64`` is a pair far apart and
+``linking_touching_q32`` a pair the guard rejects, the case where it compares
+the most points.  BENCH_integrate.json and BENCH_quadrature.json are earlier
+records of the same script, from when the integral stopped building the
+symbolic pullback and when it replaced the per-node loops.
 """
 
 from __future__ import annotations
@@ -89,8 +93,22 @@ def _rows():
                 "ms", 1, lambda s=surface, q=q: ec.gauss_bonnet_check(s, q))
     l1, l2 = (ec.Loop(Cell(((0.0, 2 * pi),), ec.parse_map(text)))
               for text in ("map(s) = cos(s); sin(s); 0", "map(s) = 1 + cos(s); 0; sin(s)"))
+    far, touching = (ec.Loop(Cell(((0.0, 2 * pi),), ec.parse_map(text)))
+                     for text in ("map(s) = 5 + cos(s); 0; sin(s)",
+                                  "map(s) = 1.99999 + cos(s); 0; sin(s)"))
     for q in (32, 64):
         rows[f"linking_hopf_q{q}"] = ("ms", 1, lambda q=q: ec.linking_number(l1, l2, q))
+    rows["linking_far_q64"] = ("ms", 1, lambda: ec.linking_number(l1, far, 64))
+
+    def linking_touching():
+        try:
+            ec.linking_number(l1, touching, 32)
+        except ec.SingularityError:
+            return
+        raise AssertionError("the guard let a touching pair through")
+    rows["linking_touching_q32"] = ("ms", 1, linking_touching)
+    ellipse = ec.Loop(shapes.ellipse_cell(2, 1))
+    rows["winding_q32"] = ("ms", 1, lambda: ec.winding_number(ellipse, 32))
     torus = surfaces["torus"]
     rows["surface_area_torus_q24"] = ("ms", 1, lambda: ec.surface_area(torus, 24))
     inputs = _stokes_inputs(7, 20)
@@ -104,4 +122,4 @@ def _rows():
 
 
 if __name__ == "__main__":
-    beforeafter.main(__doc__, __file__, "integrate", _rows, ROUNDS, REPEAT)
+    beforeafter.main(__doc__, __file__, "guard", _rows, ROUNDS, REPEAT)

@@ -11,7 +11,7 @@ is a 0-cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 from .errors import DimensionMismatch, ParseError
@@ -48,13 +48,16 @@ class Cell:
     box: tuple
     mapping: SmoothMap
     orientation: int = 1
+    # the axes of the box that are intervals, found once at construction
+    free_axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         box = tuple(float(e) if isinstance(e, Real) else tuple(map(float, e)) for e in self.box)
         object.__setattr__(self, "box", box)
+        object.__setattr__(self, "free_axes", free_axes(box))
         if not all(math.isfinite(x) for e in box for x in ((e,) if isinstance(e, float) else e)):
             raise ParseError("box bounds must be finite numbers")
-        for a, b in (box[j] for j in free_axes(box)):
+        for a, b in (box[j] for j in self.free_axes):
             if not a < b:
                 raise ParseError(f"degenerate interval [{a}, {b}]")
         if self.orientation not in (1, -1):
@@ -66,7 +69,7 @@ class Cell:
 
     @property
     def k(self) -> int:
-        return len(free_axes(self.box))
+        return len(self.free_axes)
 
     @property
     def ambient(self) -> int:

@@ -70,7 +70,8 @@ class Loop:
 
 
 _GUARD_SAMPLES = 1024
-# loops closer than this times their extent (sampled densely) are rejected
+# loops closer than this times their extent (sampled at _GUARD_SAMPLES
+# points) are rejected
 _MIN_DISTANCE_FACTOR = 1e-3
 
 
@@ -78,17 +79,18 @@ def winding_number(loop: Loop, spec=32):
     """Winding of a loop in R^2 minus the origin.
 
     Returns (value, nearest integer); value is the loop integral of the
-    angular form divided by 2 pi.  Loops coming within 1e-3 times their
-    extent of the origin (sampled densely) are rejected rather than
-    integrated.
+    angular form divided by 2 pi.  A loop whose _GUARD_SAMPLES samples come
+    within 1e-3 times max(1, its extent) of the origin is rejected rather
+    than integrated, and the error names the least sampled distance.
     """
     import numpy as np
 
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
-    gap = _min_distance(pts, np.zeros((1, 2)))
-    if gap < _MIN_DISTANCE_FACTOR * max(1.0, _loop_extent(pts)):
+    bound = _MIN_DISTANCE_FACTOR * max(1.0, _loop_extent(pts))
+    gap = _min_distance(pts, np.zeros((1, 2)), bound)
+    if gap < bound:
         raise SingularityError(f"loop comes within {gap:.3e} of the origin")
     value = integrate_cell(angular_form(), loop.cell, spec) / (2 * math.pi)
     return value, round(value)
@@ -311,7 +313,10 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     coefficient of the pullback of the solid-angle form through
     (s, t) -> (g2(t) - g1(s)) / |...|, frozen here and cross-checked against
     the generic symbolic pullback in the test suite.  Returns
-    (value, nearest integer).
+    (value, nearest integer).  Two loops whose samples, _GUARD_SAMPLES on
+    each, come within 1e-3 times the larger loop extent of each other are
+    rejected rather than integrated, and the error names the least sampled
+    distance.
     """
     import numpy as np
 
@@ -320,9 +325,9 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     q = quad_points(spec)
     guard1 = loop1.sample(_GUARD_SAMPLES)
     guard2 = loop2.sample(_GUARD_SAMPLES)
-    scale = max(_loop_extent(guard1), _loop_extent(guard2))
-    min_gap = _min_distance(guard1, guard2)
-    if min_gap < _MIN_DISTANCE_FACTOR * scale:
+    bound = _MIN_DISTANCE_FACTOR * max(_loop_extent(guard1), _loop_extent(guard2))
+    min_gap = _min_distance(guard1, guard2, bound)
+    if min_gap < bound:
         raise SingularityError(
             f"loops come within {min_gap:.3e} of each other; "
             "the linking integrand is nearly singular"
@@ -338,15 +343,48 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     return value, round(value)
 
 
-def _min_distance(points1, points2) -> float:
-    """Least distance between two point sets, 128 rows at a time."""
+# consecutive guard samples per run; a box around each run prunes the pairs
+_RUN = 32
+
+
+def _min_distance(points1, points2, bound: float) -> float:
+    """The least distance between two point sets (n x d arrays) if it is
+    below ``bound``; otherwise some value >= ``bound``, possibly inf.
+
+    Each set is cut into runs of _RUN consecutive points, each run is
+    enclosed in its axis-aligned box, and only the pairs of runs whose
+    boxes come closer than ``bound`` are compared point by point, each row
+    run against all its partners at once.  Per axis a box gap never exceeds
+    the rounded coordinate difference of two points inside, and the squares
+    are summed over the axes in the same order, so every pair of points
+    closer than ``bound`` is compared and a minimum below ``bound`` is the
+    one the full distance matrix gives, bit for bit.
+    """
     import numpy as np
 
+    runs1, runs2 = _runs(points1), _runs(points2)
+    lo1, hi1 = runs1.min(axis=2), runs1.max(axis=2)
+    lo2, hi2 = runs2.min(axis=2), runs2.max(axis=2)
+    # per axis, the gap between the boxes of every pair of runs (d x r1 x r2)
+    gaps = np.maximum(lo2[:, None, :] - hi1[:, :, None], lo1[:, :, None] - hi2[:, None, :])
+    near = np.sqrt(sum(np.maximum(0.0, g) ** 2 for g in gaps)) < bound
     least = math.inf
-    for block in np.split(points1, range(128, len(points1), 128)):
-        squares = sum((block[:, None, i] - c) ** 2 for i, c in enumerate(points2.T))
+    for row in np.flatnonzero(near.any(axis=1)):
+        partners = runs2[:, near[row]].reshape(len(runs2), -1)
+        squares = sum((a[:, None] - b) ** 2 for a, b in zip(runs1[:, row], partners))
         least = min(least, float(squares.min()))
     return math.sqrt(least)
+
+
+def _runs(points: np.ndarray) -> np.ndarray:
+    """The coordinates of the points cut into runs of _RUN, a d x r x _RUN
+    array; the last run is filled up with the final point, which changes
+    no minimum."""
+    import numpy as np
+
+    cols = points.T
+    pad = np.repeat(cols[:, -1:], -len(points) % _RUN, axis=1)
+    return np.concatenate([cols, pad], axis=1).reshape(len(cols), -1, _RUN)
 
 
 def _loop_tables(loop: Loop, q: int):

@@ -111,7 +111,7 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) ->
         )
     g = cell.mapping
     m, n = g.m, g.n
-    free = free_axes(cell.box)
+    free = cell.free_axes
     jac = g.jacobian()
     zero = [[e.is_zero() for e in row] for row in jac]
     # the terms whose minor is not identically zero
@@ -197,7 +197,7 @@ def boundary(domain):
     if isinstance(domain, Chain):
         return Chain([(w * s, face) for w, c in domain for s, face in boundary(c)])
     cell = domain
-    free = free_axes(cell.box)
+    free = cell.free_axes
     if not free:
         raise DegreeError("boundary needs a cell of dimension >= 1")
     faces = []

@@ -829,6 +829,12 @@ _EVAL_GLOBALS = {
 }
 
 
+# Terms of a sum emitted in one line of generated code.  CPython's compiler
+# recurses once per operator, so a longer sum is accumulated over several
+# statements, still left to right.
+_SUM_TERMS = 256
+
+
 class _CodeGen:
     def __init__(self):
         self.lines = []
@@ -862,7 +868,13 @@ class _CodeGen:
                 parts.append(body if cf == 1.0 else f"{cf!r}*{body}")
             else:
                 parts.append(f"{cf!r}")
-        return " + ".join(parts)
+        if len(parts) <= _SUM_TERMS:
+            return " + ".join(parts)
+        name = f"s{next(self.counter)}"
+        self.lines.append(f"{name} = " + " + ".join(parts[:_SUM_TERMS]))
+        for start in range(_SUM_TERMS, len(parts), _SUM_TERMS):
+            self.lines.append(f"{name} = {name} + " + " + ".join(parts[start:start + _SUM_TERMS]))
+        return name
 
     def expr_src(self, e: ScalarExpr) -> str:
         num = self.poly_src(e._num)

@@ -155,3 +155,61 @@ def test_linking_guard_names_the_dense_minimum():
         f"loops come within {dense:.3e} of each other; "
         "the linking integrand is nearly singular"
     )
+
+
+def test_winding_guard_names_the_dense_minimum():
+    from fractions import Fraction
+
+    from extcalc.geometry import winding_number
+
+    th = S.variable(0)
+    c = 1 + Fraction(1, 10000)
+    near = Loop(Cell(((0.0, 2 * math.pi),), SmoothMap(1, 2, [c + S.cos(th), S.sin(th)])))
+    p = near.sample(1024)
+    dense = float(np.sqrt(np.min(np.sum(p * p, axis=1))))
+    with pytest.raises(SingularityError) as info:
+        winding_number(near, 32)
+    assert str(info.value) == f"loop comes within {dense:.3e} of the origin"
+
+
+GUARD_SIZES = [1, 31, 32, 33, 1024]
+
+
+def guard_points(kind, size, d, rng, offset):
+    """A point set of the given size in R^d: the origin for size 1, else a
+    random cloud or samples along a random closed polyline, shifted by
+    offset along the first axis."""
+    if size == 1:
+        return np.zeros((1, d))
+    if kind == "cloud":
+        pts = rng.uniform(-1.0, 1.0, (size, d))
+    else:
+        corners = rng.uniform(-1.0, 1.0, (5, d))
+        ends = np.roll(corners, -1, axis=0)
+        t = np.linspace(0.0, 5.0, size, endpoint=False)
+        i = t.astype(int)
+        pts = corners[i] + (t - i)[:, None] * (ends[i] - corners[i])
+    pts[:, 0] += offset
+    return pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["cloud", "polyline"])
+@pytest.mark.parametrize("size1", GUARD_SIZES)
+@pytest.mark.parametrize("size2", GUARD_SIZES)
+def test_pruned_guard_matches_the_dense_minimum(d, kind, size1, size2):
+    from extcalc.geometry import _min_distance
+
+    rng = np.random.default_rng([d, size1, size2, len(kind)])
+    for offset in (0.0, 1.5, 2.2, 4.0):
+        p1 = guard_points(kind, size1, d, rng, 0.0)
+        p2 = guard_points(kind, size2, d, rng, offset)
+        squares = sum((p1[:, None, i] - p2[None, :, i]) ** 2 for i in range(d))
+        dense = math.sqrt(float(squares.min()))
+        bounds = (dense / 2, dense, math.nextafter(dense, math.inf), 2 * dense, math.inf)
+        for bound in bounds:
+            got = _min_distance(p1, p2, bound)
+            if dense < bound:
+                assert got == dense
+            else:
+                assert got >= bound

@@ -129,6 +129,39 @@ class TestEvaluate:
         e = S.constant(Fraction(1, 3)) * 3
         assert e.evaluate([]) == 1.0
 
+    @staticmethod
+    def product_of_sums(lengths):
+        """prod over the axes of sum_i (i + 1) v^i, as a polynomial and as
+        the exact value at a point."""
+        factors = [sum(((i + 1) * S.variable(a) ** i for i in range(n)), S.constant(0))
+                   for a, n in enumerate(lengths)]
+        poly = math.prod(factors[1:], start=factors[0])
+
+        def exact(point):
+            return math.prod(sum((i + 1) * Fraction(v) ** i for i in range(n))
+                             for v, n in zip(point, lengths))
+        return poly, exact
+
+    def test_long_sum_compiles(self):
+        import numpy as np
+
+        poly, exact = self.product_of_sums((18, 18, 16))
+        assert len(poly._num) >= 5000
+        point = (0.5, 0.75, 1.25)
+        want = float(exact(point))
+        by_point = poly.compiled()(point)
+        by_column = S.Batch([poly]).columns([np.array([v]) for v in point])[0][0]
+        for got in (by_point, by_column):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_long_sum_keeps_the_order_of_one_line(self, monkeypatch):
+        poly, _ = self.product_of_sums((12, 12, 10))
+        split = S._compile(poly, S._EVAL_GLOBALS)
+        monkeypatch.setattr(S, "_SUM_TERMS", len(poly._num))
+        whole = S._compile(poly, S._EVAL_GLOBALS)
+        for point in [(0.5, 0.75, 1.25), (-1.1, 0.3, 0.9), (1.7, -0.6, -1.3)]:
+            assert split(point) == whole(point)
+
 
 class TestIntegratePolynomial:
     def test_power_rule(self):
