@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import DegreeError, DimensionMismatch, ParseError
 from .scalar import (
+    Batch,
     ScalarExpr,
     ZERO,
     as_expr,
@@ -58,7 +59,7 @@ def _add_term(out, idx, c):
 class DifferentialForm:
     """A degree-k differential form on R^n."""
 
-    __slots__ = ("n", "k", "terms")
+    __slots__ = ("n", "k", "terms", "_batches")
 
     def __init__(self, n, k, terms=None):
         if n < 0 or k < 0:
@@ -82,6 +83,7 @@ class DifferentialForm:
         self.n = n
         self.k = k
         self.terms = clean
+        self._batches = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -102,6 +104,13 @@ class DifferentialForm:
         return DifferentialForm(n, len(idx), {idx: as_expr(sign)})
 
     # -- structure ------------------------------------------------------------
+
+    def batch(self, indices) -> Batch:
+        """One evaluator of the coefficients of the given multi-indices, in
+        that order; compiled once and kept for the form's lifetime."""
+        if indices not in self._batches:
+            self._batches[indices] = Batch(self.terms[idx] for idx in indices)
+        return self._batches[indices]
 
     def is_zero(self):
         return not self.terms

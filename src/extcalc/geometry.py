@@ -28,7 +28,7 @@ from .errors import (
 from .forms import DifferentialForm, angular_form
 from .integrate import boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
-from .scalar import variable
+from .scalar import flat_nodes, variable
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -170,7 +170,7 @@ def _surface_frame(cell: Cell, cols, order=1):
     area = np.sqrt(np.sum(cross * cross, axis=0))
     bad = np.flatnonzero(area < 1e-12)
     if bad.size:
-        node = tuple(float(c[bad[0]]) for c in cols)
+        node = tuple(float(c[bad[0]]) for c in flat_nodes(cols))
         raise RankDeficientError(f"rank-deficient node {node}")
     frame = (r_s, r_t, cell.orientation * cross / area, area)
     for h in second:
@@ -237,14 +237,15 @@ class Surface:
 
 
 def _surface_integral(surface: Surface, spec, density) -> float:
-    """Quadrature of density(cell, cols) over every cell, summed in order."""
+    """Quadrature of density(cell, grid) over every cell, on the open grid of
+    ``box_rule``, summed in order."""
     import numpy as np
 
     q = quad_points(spec)
     total = 0.0
     for cell in surface.cells:
-        cols, weights = box_rule(cell.box, q)
-        total += float(np.sum(weights * density(cell, cols)))
+        grid, weights = box_rule(cell.box, q)
+        total += float(np.sum(weights.ravel() * density(cell, grid)))
     return total
 
 

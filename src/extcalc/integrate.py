@@ -5,14 +5,19 @@ evaluator is tensor-product Gauss-Legendre quadrature, over the free axes u
 of a cell with map g, of the pulled-back coefficient
 sum_I a_I(g(u)) det(dg_I/du) (Spivak, Calculus on Manifolds, ch. 4): the
 map's components and Jacobian come from its compiled batch, the
-coefficients a_I are evaluated on the component columns, and each k x k
-minor is an explicit sum of products, so no pulled-back form is built.
-``box_rule`` lays out the nodes of every quadrature in the package.  A face
-is its parent cell with one parameter pinned, so it is integrated through
-the parent's map with the pinned column of the Jacobian left out.  Nodes are
-evaluated in blocks of _BLOCK, node contributions are summed by one
-``np.sum`` in lexicographic order and chain terms in list order, so results
-are bit-reproducible.
+coefficients a_I are evaluated on the component values by the form's
+batch, and each k x k minor is an explicit sum of products, so no
+pulled-back form is built.  ``box_rule`` lays out the nodes of every
+quadrature in the package as an open grid: the i-th free axis is an array
+that varies along dimension i only, so numpy broadcasting computes a value
+of one parameter once per node of its axis, not once per node of the cell
+(the first step of sum factorization; Orszag, J. Comput. Phys. 37, 1980).
+A face is its parent cell with one parameter pinned, so it is integrated
+through the parent's map with the pinned column of the Jacobian left out.
+The grid is evaluated in blocks of rows along the first free axis, about
+_BLOCK nodes each, into one array of all the node values; that array is
+summed by one ``np.sum`` in lexicographic order and chain terms in list
+order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
-from .scalar import Batch, evaluate_nodes
+from .scalar import evaluate_nodes
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -36,33 +41,39 @@ def _leggauss(q: int):
 
 
 def box_rule(box, q: int):
-    """Tensor-product Gauss-Legendre rule with q points per free axis: one
-    array per box entry with the q^k nodes in lexicographic order (first free
-    axis slowest), constant on a pinned axis, and their weights, each the
-    product of the interval weights in axis order."""
+    """Tensor-product Gauss-Legendre rule with q points per free axis, as an
+    open grid of k dimensions (one for a point): one array per box entry,
+    for the i-th of k free axes its q nodes with shape q in dimension i and
+    1 elsewhere, for a pinned axis its value in an array of one element; and
+    the weights, one (q,)*k array, each the product of the interval weights
+    in axis order.  ``flat_nodes`` lists the nodes in lexicographic order
+    (first free axis slowest)."""
     import numpy as np
 
     x, w = _leggauss(q)
     free = free_axes(box)
     k = len(free)
-    cols = []
-    weights = np.ones(1)
+    grid = []
+    weights = np.ones(())
     for j, entry in enumerate(box):
         if j not in free:
-            cols.append(np.full(q**k, entry))
+            # an array, not a float: Python's float ** rounds some powers
+            # otherwise than numpy, which rounds them as on a flat column
+            grid.append(np.full((1,) * max(k, 1), float(entry)))
             continue
         i = free.index(j)
         a, b = entry
         half = (b - a) / 2.0
-        col = np.empty((q**i, q, q ** (k - 1 - i)))
-        col[...] = ((b + a) / 2.0 + half * x)[:, None]
-        cols.append(col.ravel())
-        weights = np.multiply.outer(weights, half * w).ravel()
-    return cols, weights
+        shape = [1] * k
+        shape[i] = q
+        grid.append(((b + a) / 2.0 + half * x).reshape(shape))
+        weights = weights[..., None] * (half * w)
+    return grid, np.atleast_1d(weights)
 
 
-# Nodes evaluated at a time: columns of a whole fine 3-cell (q=48 has 110592
-# nodes) run slower than blocks that stay in cache, and take more memory.
+# Nodes evaluated at a time, in whole rows of the first free axis: a whole
+# fine 3-cell (q=48 has 110592 nodes) runs slower than blocks that stay in
+# cache, and takes more memory.
 _BLOCK = 4096
 
 
@@ -95,10 +106,8 @@ def _minor(entry, rows, free, memo):
     return memo[rows]
 
 
-def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) -> float:
-    """Integral of a k-form over an oriented k-cell; ``batches`` holds the
-    coefficient batches compiled so far in this call, keyed by the terms
-    they evaluate."""
+def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
+    """Integral of a k-form over an oriented k-cell."""
     import numpy as np
 
     if form.k != cell.k:
@@ -119,9 +128,7 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) ->
     terms = tuple(idx for idx, s in zip(form.terms, shape) if s is not None)
     if not terms:
         return 0.0
-    if terms not in batches:
-        batches[terms] = Batch(form.terms[idx] for idx in terms)
-    coeffs = batches[terms]
+    coeffs = form.batch(terms)
 
     def integrand(comps, entry, evaluate):
         """sum_I a_I(g) det(dg_I/du) from the component values and the
@@ -138,10 +145,15 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) ->
         )
 
     batch = g.batch()
-    cols, weights = box_rule(cell.box, q)
-    values = np.empty(len(weights))
-    for start in range(0, len(weights), _BLOCK):
-        block = [c[start:start + _BLOCK] for c in cols]
+    grid, weights = box_rule(cell.box, q)
+    values = np.empty(weights.shape)
+    # whole rows of the first free axis, at least _BLOCK nodes a block
+    rows = -(-_BLOCK // (values.size // len(values)))
+    for start in range(0, len(values), rows):
+        cut = slice(start, start + rows)
+        block = list(grid)
+        if free:
+            block[free[0]] = grid[free[0]][cut]
         try:
             with np.errstate(all="ignore"):
                 jet = batch.columns(block)
@@ -157,18 +169,19 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int, batches: dict) ->
             # again one node at a time, so the first bad node is named in
             # the parent's parameter coordinates, pinned values included
             try:
-                part = evaluate_nodes(at_node, block)
+                part = np.reshape(evaluate_nodes(at_node, block), values[cut].shape)
             except SingularityError as err:
                 raise SingularityError(
                     f"integrand singular at quadrature node {err.node}: {err}"
                 ) from err
-        values[start:start + _BLOCK] = part
-    return cell.orientation * float(np.sum(weights * values))
+        values[cut] = part
+    values *= weights
+    return cell.orientation * float(np.sum(values.ravel()))
 
 
 def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
     """Integral of a k-form over an oriented k-cell."""
-    return _cell_integral(form, cell, quad_points(spec), {})
+    return _cell_integral(form, cell, quad_points(spec))
 
 
 def integrate(form: DifferentialForm, domain, spec=16) -> float:
@@ -178,11 +191,10 @@ def integrate(form: DifferentialForm, domain, spec=16) -> float:
     if not isinstance(domain, Chain):
         raise TypeError(f"cannot integrate over {type(domain).__name__}")
     q = quad_points(spec)
-    batches = {}
     total = 0.0
     for w, cell in domain:
         if w:
-            total += w * _cell_integral(form, cell, q, batches)
+            total += w * _cell_integral(form, cell, q)
     return total
 
 

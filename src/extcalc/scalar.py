@@ -393,10 +393,12 @@ class ScalarExpr:
             raise SingularityError("denominator is identically zero")
         if not num:
             return ZERO
-        content = _p_monomial_content((num, den))
-        if content:
-            num = _p_strip_content(num, content)
-            den = _p_strip_content(den, content)
+        # a constant denominator has no monomial content to share
+        if not _p_is_const(den):
+            content = _p_monomial_content((den, num))
+            if content:
+                num = _p_strip_content(num, content)
+                den = _p_strip_content(den, content)
         if _p_is_const(den):
             c = den[_MONO_ONE]
             if c != 1:
@@ -889,12 +891,15 @@ class Batch:
     atom they share is computed once per node.
 
     ``at(point)`` returns the tuple of values at one point.  ``columns(cols)``
-    runs the same code over numpy columns, one float array (or one number,
-    for an axis held constant) per axis, and returns one array or number per
-    expression.  Where a division, ln or sqrt guard would trip at some node
-    it raises the SingularityError the scalar evaluator raises; other faults
-    surface as inf/nan, so call it under ``np.errstate(all="ignore")`` and
-    check the result, or call ``evaluate``, which does both.
+    runs the same code over numpy arrays, one per axis (or one number, for
+    an axis held constant), and returns one array or number per expression.
+    The arrays may be flat columns of equal length or an open grid, whose
+    axes numpy broadcasts against each other, so a value that depends on
+    one axis of the grid is computed once per node of that axis.  Where a
+    division, ln or sqrt guard would trip at some node it raises the
+    SingularityError the scalar evaluator raises; other faults surface as
+    inf/nan, so call it under ``np.errstate(all="ignore")`` and check the
+    result, or call ``evaluate``, which does both.
     """
 
     __slots__ = ("exprs", "_at", "_columns")
@@ -915,35 +920,49 @@ class Batch:
         return self._columns(cols)
 
     def evaluate(self, cols):
-        """Values at every node, an array of shape (len(exprs), nodes).
+        """Values at every node, an array of shape (len(exprs), nodes) with
+        the nodes in the order of ``flat_nodes(cols)``.
 
-        The columns run first.  If a guard trips or a value is not finite,
-        the nodes are evaluated again one at a time by ``evaluate_nodes``,
-        so a failure raises exactly what the scalar evaluator raises at the
-        first bad node.
+        The columns run first, on the broadcast shape of the axes.  If a
+        guard trips or a value is not finite, the nodes are evaluated again
+        one at a time by ``evaluate_nodes``, so a failure raises exactly
+        what the scalar evaluator raises at the first bad node.
         """
         import numpy as np
 
         try:
             with np.errstate(all="ignore"):
                 values = self.columns(cols)
-            # a constant expression evaluates to a number
-            out = np.empty((len(values), len(cols[0]) if cols else 1))
+            # a constant expression evaluates to a number, and an
+            # expression of some axes to an array of their shape
+            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+            out = np.empty((len(values),) + shape)
             for row, v in zip(out, values):
                 row[...] = v
             if np.isfinite(out).all():
-                return out
+                return out.reshape(len(values), math.prod(shape))
         except (SingularityError, ArithmeticError):
             pass
         return np.array(evaluate_nodes(self.at, cols)).T
 
 
+def flat_nodes(grid) -> list:
+    """The nodes of an open grid (one array or number per axis, broadcast
+    against each other) as flat columns of equal length, in lexicographic
+    order; flat columns come back with the same values."""
+    import numpy as np
+
+    shape = np.broadcast_shapes(*(np.shape(c) for c in grid))
+    return [np.broadcast_to(c, shape).ravel() for c in grid]
+
+
 def evaluate_nodes(f, cols) -> list:
-    """f at every node of the columns (a point has one node and no axes), in
-    order, each node a tuple of floats; a SingularityError carries the first
-    bad node as its ``node`` attribute."""
+    """f at every node of the columns or open grid (a point has one node
+    and no axes), in the order of ``flat_nodes``, each node a tuple of
+    floats; a SingularityError carries the first bad node as its ``node``
+    attribute."""
     out = []
-    for point in zip(*(c.tolist() for c in cols)) if cols else [()]:
+    for point in zip(*(c.tolist() for c in flat_nodes(cols))) if cols else [()]:
         try:
             out.append(f(point))
         except SingularityError as err:

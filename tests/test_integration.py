@@ -31,6 +31,7 @@ from extcalc.integrate import (
     stokes_check,
 )
 from extcalc.maps import SmoothMap, compose, freeze_axis, pullback
+from extcalc.scalar import flat_nodes
 
 from helpers import count_calls, make_rng, rand_elementary, rand_form, rand_map, rand_poly
 
@@ -167,6 +168,18 @@ class TestFaces:
         # the ball and its six faces share the map's value-and-Jacobian batch
         assert len(batches) == 1
 
+    def test_repeated_integral_builds_no_batch(self, monkeypatch):
+        forms, maps = (importlib.import_module(f"extcalc.{name}") for name in ("forms", "maps"))
+        built = [count_calls(monkeypatch, module, "Batch") for module in (forms, maps)]
+        w = DF(3, 2, {(0, 1): x * z, (1, 2): y + 1})
+        cell = sh.hemisphere_cell()
+        first = integrate_cell(w, cell, 8)
+        # one batch of the form's coefficients and one of the map
+        assert [len(calls) for calls in built] == [1, 1]
+        assert integrate_cell(w, cell, 8) == first
+        assert integrate(w, Chain.of(cell, cell), 16) == 2 * integrate_cell(w, cell, 16)
+        assert [len(calls) for calls in built] == [1, 1]
+
     def test_face_singularity_names_parent_coordinates(self):
         u, v = S.variable(0), S.variable(1)
         cell = Cell(((0.0, 1.0), (2.0, 3.0)), SmoothMap(2, 2, [u, v]))
@@ -184,7 +197,7 @@ class TestFaces:
         w = DF(2, 1, {(1,): S.ln(x)})
         with pytest.raises(SingularityError) as err:
             integrate(w, boundary(cell), 4)
-        first = box_rule(((0.0, 1.0),), 4)[0][0][0].item()
+        first = flat_nodes(box_rule(((0.0, 1.0),), 4)[0])[0][0].item()
         assert err.value.__cause__.node == (0.0, first)
         assert f"quadrature node (0.0, {first!r}): ln of a non-positive value" in str(err.value)
 
@@ -208,13 +221,13 @@ class TestFaces:
             boundary(points)
 
     def test_pinned_box_rule(self):
-        from extcalc.integrate import box_rule
-
-        cols, weights = box_rule(((0.0, 1.0), 0.5, (2.0, 4.0)), 3)
+        grid, weights = box_rule(((0.0, 1.0), 0.5, (2.0, 4.0)), 3)
+        cols = flat_nodes(grid)
         assert [len(c) for c in cols] == [9, 9, 9]
         assert (cols[1] == 0.5).all()
         assert abs(weights.sum() - 2.0) <= 1e-15
-        full, full_weights = box_rule(((0.0, 1.0), (2.0, 4.0)), 3)
+        full_grid, full_weights = box_rule(((0.0, 1.0), (2.0, 4.0)), 3)
+        full = flat_nodes(full_grid)
         assert (cols[0] == full[0]).all() and (cols[2] == full[1]).all()
         assert (weights == full_weights).all()
 
@@ -239,7 +252,8 @@ def symbolic_integral(form, cell, q):
     code = compile(text.replace("^", "**"), "<coefficient>", "eval")
     env = {"mpf": mpmath.mpf, "exp": mpmath.exp, "ln": mpmath.log,
            "sin": mpmath.sin, "cos": mpmath.cos, "sqrt": mpmath.sqrt}
-    cols, weights = box_rule(cell.box, q)
+    grid, weights = box_rule(cell.box, q)
+    cols, weights = flat_nodes(grid), weights.ravel()
     with mpmath.workdps(40):
         terms = [mpmath.mpf(w) * eval(code, {**env, **dict(zip("xyz", map(mpmath.mpf, p)))})
                  for p, w in zip(zip(*(c.tolist() for c in cols)), weights.tolist())]

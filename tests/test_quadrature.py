@@ -13,9 +13,9 @@ from extcalc.forms import DifferentialForm
 from extcalc.geometry import Loop, linking_number
 from extcalc.integrate import box_rule, integrate_cell
 from extcalc.maps import SmoothMap
-from extcalc.scalar import Batch
+from extcalc.scalar import Batch, flat_nodes
 
-from helpers import make_rng, rand_elementary, rand_poly
+from helpers import make_rng, rand_elementary, rand_form, rand_map, rand_poly
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -28,12 +28,15 @@ BOXES = (
 
 
 def reference_rule(box, q):
-    """(point, weight) pairs in lexicographic order, one node at a time."""
+    """(point, weight) pairs in lexicographic order, one node at a time; a
+    pinned entry is one node of weight 1."""
     xs, ws = np.polynomial.legendre.leggauss(q)
     rules = [
-        [((b + a) / 2.0 + (b - a) / 2.0 * xi, (b - a) / 2.0 * wi)
+        [(float(entry), 1.0)] if isinstance(entry, (int, float)) else
+        [((entry[1] + entry[0]) / 2.0 + (entry[1] - entry[0]) / 2.0 * xi,
+          (entry[1] - entry[0]) / 2.0 * wi)
          for xi, wi in zip(xs.tolist(), ws.tolist())]
-        for a, b in box
+        for entry in box
     ]
     for combo in itertools.product(*rules):
         weight = 1.0
@@ -71,13 +74,112 @@ def outcome(fn):
         return type(err), str(err)
 
 
+def flat_rule(box, q):
+    """The nodes of box_rule as flat columns, and the weights in the same
+    order."""
+    grid, weights = box_rule(box, q)
+    return flat_nodes(grid), weights.ravel()
+
+
 def test_box_rule_matches_reference_nodes_and_weights():
     for box in BOXES:
         for q in (2, 5, 16):
-            cols, weights = box_rule(box, q)
+            cols, weights = flat_rule(box, q)
             ref = list(reference_rule(box, q))
             assert np.array_equal(np.column_stack(cols), [p for p, _ in ref])
             assert np.array_equal(weights, [w for _, w in ref])
+
+
+def test_open_grid_lists_the_reference_nodes():
+    pinned = (((-1.0, 1.0), 0.75, (0.25, 1.75)), (0.5, -2.0))
+    for box in BOXES + pinned:
+        k = sum(isinstance(entry, tuple) for entry in box)
+        for q in (2, 5, 16):
+            grid, weights = box_rule(box, q)
+            assert weights.shape == ((q,) * k or (1,))
+            # the i-th free axis varies along dimension i only, and a pinned
+            # one is a single value
+            free = [c for c in grid if np.size(c) > 1]
+            assert [np.shape(c) for c in free] == [
+                tuple(q if d == i else 1 for d in range(k)) for i in range(k)]
+            assert all(np.shape(c) == (1,) * max(k, 1) for c in grid if np.size(c) == 1)
+            ref = list(reference_rule(box, q))
+            assert np.array_equal(np.column_stack(flat_nodes(grid)), [p for p, _ in ref])
+            assert np.array_equal(weights.ravel(), [w for _, w in ref])
+
+
+def flat_integral(form, cell, q):
+    """integrate_cell on flat columns: every node at full length, the map
+    and the coefficients through Batch.evaluate, one np.sum."""
+    from extcalc.integrate import _minors
+
+    grid, weights = box_rule(cell.box, q)
+    cols = flat_nodes(grid)
+    g = cell.mapping
+    comps, jac = g.columns(cols)
+    zero = [[e.is_zero() for e in row] for row in g.jacobian()]
+    minors = _minors(lambda i, j: None if zero[i][j] else jac[i, j], list(form.terms),
+                     cell.free_axes)
+    coeffs = Batch(form.terms.values()).evaluate(list(comps))
+    values = sum(a * minor for a, minor in zip(coeffs, minors) if minor is not None)
+    return cell.orientation * float(np.sum(weights.ravel() * values))
+
+
+def random_cell(rng, pinned, k, m):
+    """A k-cell in R^m through a random map, with `pinned` parameters
+    pinned in front at random values."""
+    box = tuple(rng.uniform(-1.0, 1.0) for _ in range(pinned))
+    for _ in range(k):
+        a = rng.uniform(-1.0, 0.5)
+        box += ((a, a + rng.uniform(0.25, 1.5)),)
+    return Cell(box, rand_map(rng, pinned + k, m), rng.choice((1, -1)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_open_grid_integral_equals_the_flat_one(k):
+    rng = make_rng(700 + k)
+    for q in (2, 5, 16, 47, 48):
+        # a full cell, and (for k >= 1) a face pinned on its first axis;
+        # points (k = 0) are pinned on every axis
+        for pinned in ((0, 1) if k else (1, 2, 3)):
+            m = rng.randint(max(k, 1), 3)
+            cell = random_cell(rng, pinned, k, m)
+            for kind in ("poly", "elementary"):
+                form = rand_form(rng, m, k)
+                if kind == "elementary":
+                    form = DifferentialForm(m, k, {i: rand_elementary(rng, m) for i in form.terms})
+                assert integrate_cell(form, cell, q) == flat_integral(form, cell, q)
+        grid, _ = box_rule(cell.box, q)
+        assert np.array_equal(np.concatenate(cell.mapping.columns(grid), axis=None),
+                              np.concatenate(cell.mapping.columns(flat_nodes(grid)), axis=None))
+
+
+def test_a_pinned_value_rounds_like_a_flat_column():
+    # numpy rounds some powers of an array differently from Python's
+    # float ** (libm pow), so a pinned axis must stay an array
+    rng = make_rng(77)
+    y = S.variable(1)
+    form = DifferentialForm(2, 1, {(1,): x**3 + x**5 * y})
+    for _ in range(200):
+        cell = Cell((rng.uniform(-2.0, 2.0), (0.0, 1.0)), SmoothMap.identity(2))
+        assert integrate_cell(form, cell, 2) == flat_integral(form, cell, 2)
+
+
+def test_fine_three_cell_peak_memory():
+    import tracemalloc
+
+    from extcalc import shapes
+
+    x, y, z = (S.variable(i) for i in range(3))
+    ball = DifferentialForm(3, 3, {(0, 1, 2): 1 + z + x * x})
+    integrate_cell(ball, shapes.half_ball_cell(), 2)  # lazy imports
+    tracemalloc.start()
+    try:
+        integrate_cell(ball, shapes.half_ball_cell(), 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -88,7 +190,7 @@ def test_column_values_match_scalar_loop(k):
         coeff = rand_elementary(rng, k) * rand_poly(rng, k, 2)
         f = coeff.compiled()
         for q in (2, 5, 16):
-            cols, _ = box_rule(box, q)
+            cols, _ = flat_rule(box, q)
             (values,) = Batch([coeff]).evaluate(cols)
             ref = np.array([f(p) for p, _ in reference_rule(box, q)])
             scale = max(1.0, float(np.max(np.abs(ref))))
@@ -100,7 +202,7 @@ def test_column_values_match_scalar_loop(k):
 
 
 def test_constant_expression_fills_the_column():
-    cols, _ = box_rule(BOXES[1], 5)
+    cols, _ = flat_rule(BOXES[1], 5)
     (values,) = Batch([S.constant(3)]).evaluate(cols)
     assert values.shape == (25,) and np.all(values == 3.0)
 
@@ -109,7 +211,7 @@ def test_batch_computes_a_shared_atom_once(monkeypatch):
     calls = []
     monkeypatch.setitem(S._column_globals(), "_sin", lambda u: calls.append(u) or np.sin(u))
     exprs = [S.sin(x), 2 * S.sin(x) * S.cos(x), S.sin(x) ** 2 + x]
-    cols, _ = box_rule(BOXES[0], 5)
+    cols, _ = flat_rule(BOXES[0], 5)
     values = Batch(exprs).evaluate(cols)
     assert len(calls) == 1
     for e, row in zip(exprs, values):
