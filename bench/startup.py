@@ -1,4 +1,4 @@
-"""Before/after start-up timings of the CLI verbs, written as BENCH_startup.json.
+"""Before/after start-up timings of the CLI verbs, written as BENCH_imports.json.
 
     python bench/startup.py --before OLD/src
 
@@ -16,6 +16,8 @@ on both sides, or the script fails.
 
 Whether PYTHONDONTWRITEBYTECODE was set is recorded: without bytecode files
 every run compiles the extcalc source again, which shows in every row.
+BENCH_startup.json is an earlier record of the same script, from when every
+verb imported the whole package.
 """
 
 import argparse
@@ -140,7 +142,7 @@ def main(argv=None):
     ap.add_argument("--before", required=True, help="src directory of the old checkout")
     args = ap.parse_args(argv)
     result = compare(args.before, "src")
-    with open("BENCH_startup.json", "w") as fh:
+    with open("BENCH_imports.json", "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
     for name, row in result["rows"].items():

@@ -9,6 +9,11 @@ non-finite input numbers); the class of an ExtcalcError sets its code.
 ``--json`` switches output to a single machine-readable object.  Numbers
 print with 12 significant digits and residuals in scientific notation, so
 output is byte-stable across runs.
+
+Each verb imports the modules it runs inside its handler, so a process
+loads only those: the cohomology verbs load no expression engine, the other
+symbolic verbs no cohomology, quadrature or geometry, and only the
+quadrature and geometry verbs load numpy.
 """
 
 from __future__ import annotations
@@ -16,15 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import cohomology as co
-from . import geometry as geo
-from .cells import Cell, Chain, quad_points
-from .errors import ExtcalcError, ParseError, SingularityError
-from .integrate import integrate, stokes_check
-from .homotopy import primitive
-from .parsing import json_fields, json_list, parse_form, parse_map, parse_map_components
+from .errors import ExtcalcError, ParseError, SingularityError, json_fields, json_list
+
+if TYPE_CHECKING:
+    from .cells import Chain
+    from .geometry import Loop, Surface
 
 
 def fmt(x: float) -> str:
@@ -62,6 +67,14 @@ def point(text: str) -> list:
     return [finite(p) for p in text.split(",")]
 
 
+def quad_points(text: str) -> int:
+    """The argparse type of --quad: ``cells.quad_points``, loaded only when
+    the flag is given."""
+    from .cells import quad_points
+
+    return quad_points(text)
+
+
 def read_json(path: str):
     with open(path) as fh:
         try:
@@ -71,6 +84,9 @@ def read_json(path: str):
 
 
 def load_chain(path: str) -> Chain:
+    from .cells import Cell, Chain
+    from .parsing import parse_map_components
+
     ambient, cells = json_fields(read_json(path), "chain", "ambient", "cells")
     terms = []
     for entry in json_list(cells, "chain cells"):
@@ -90,17 +106,21 @@ def load_chain(path: str) -> Chain:
     return Chain(terms)
 
 
-def load_loop(path: str) -> geo.Loop:
+def load_loop(path: str) -> Loop:
+    from .geometry import Loop
+
     chain = load_chain(path)
     if len(chain) != 1 or chain.k != 1:
         raise ParseError("a loop file holds exactly one 1-cell")
     weight, cell = chain.terms[0]
     if weight != 1:
         raise ParseError("loop cells carry weight 1; flip orientation instead")
-    return geo.Loop(cell)
+    return Loop(cell)
 
 
-def load_surface(path: str, chi: int) -> geo.Surface:
+def load_surface(path: str, chi: int) -> Surface:
+    from .geometry import Surface
+
     chain = load_chain(path)
     if chain.k != 2 or chain.ambient != 3:
         raise ParseError("a surface file holds 2-cells in R^3")
@@ -109,7 +129,7 @@ def load_surface(path: str, chi: int) -> geo.Surface:
         if w not in (1, -1):
             raise ParseError("surface cells carry weight +-1")
         cells.append(cell if w == 1 else cell.flipped())
-    return geo.Surface(cells, chi)
+    return Surface(cells, chi)
 
 
 def emit(args, verb, inputs, result, residual=None, text=None):
@@ -134,6 +154,7 @@ def emit(args, verb, inputs, result, residual=None, text=None):
 
 
 def cmd_eval(args):
+    from .parsing import parse_form
     from .scalar import axis_name
 
     form = parse_form(args.form, args.dim)
@@ -152,6 +173,8 @@ def cmd_eval(args):
 
 
 def cmd_d(args):
+    from .parsing import parse_form
+
     form = parse_form(args.form, args.dim)
     result = form.d()
     emit(args, "d", {"form": args.form, "dim": args.dim}, str(result), text=str(result))
@@ -159,6 +182,8 @@ def cmd_d(args):
 
 
 def cmd_wedge(args):
+    from .parsing import parse_form
+
     if len(args.form) != 2:
         raise ParseError("wedge needs --form given exactly twice")
     a = parse_form(args.form[0], args.dim)
@@ -170,6 +195,7 @@ def cmd_wedge(args):
 
 def cmd_pullback(args):
     from .maps import pullback as pull
+    from .parsing import parse_form, parse_map
 
     g = parse_map(args.map)
     form = parse_form(args.form, g.m)
@@ -185,6 +211,9 @@ def cmd_pullback(args):
 
 
 def cmd_integrate(args):
+    from .integrate import integrate
+    from .parsing import parse_form
+
     chain = load_chain(args.chain)
     form = parse_form(args.form, chain.ambient)
     value = integrate(form, chain, args.quad)
@@ -203,6 +232,9 @@ def _tol_verdict(residual, tol):
 
 
 def cmd_stokes(args):
+    from .integrate import stokes_check
+    from .parsing import parse_form
+
     chain = load_chain(args.chain)
     form = parse_form(args.form, chain.ambient)
     lhs, rhs, residual = stokes_check(form, chain, args.quad)
@@ -222,6 +254,9 @@ def cmd_stokes(args):
 
 
 def cmd_primitive(args):
+    from .homotopy import primitive
+    from .parsing import parse_form
+
     form = parse_form(args.form, args.dim)
     b = primitive(form)
     check = b.d() - form
@@ -237,11 +272,13 @@ def cmd_primitive(args):
 
 
 def cmd_cohomology(args):
+    from .cohomology import Nerve, cech_betti, sphere_betti
+
     if args.sphere is not None:
-        betti = co.sphere_betti(args.sphere)
+        betti = sphere_betti(args.sphere)
         inputs = {"sphere": args.sphere}
     elif args.nerve:
-        betti = co.cech_betti(co.Nerve.from_json(read_json(args.nerve)))
+        betti = cech_betti(Nerve.from_json(read_json(args.nerve)))
         inputs = {"nerve": args.nerve}
     else:
         raise ParseError("cohomology needs --nerve FILE or --sphere N")
@@ -250,7 +287,9 @@ def cmd_cohomology(args):
 
 
 def cmd_mv_solve(args):
-    solution = co.mv_solve(co.ExactSequenceProblem.from_json(read_json(args.problem)))
+    from .cohomology import ExactSequenceProblem, mv_solve
+
+    solution = mv_solve(ExactSequenceProblem.from_json(read_json(args.problem)))
     emit(
         args,
         "mv-solve",
@@ -276,33 +315,42 @@ def _emit_integer(args, verb, inputs, value, nearest):
 
 
 def cmd_winding(args):
+    from .geometry import winding_number
+
     loop = load_loop(args.loop)
-    value, nearest = geo.winding_number(loop, args.quad)
+    value, nearest = winding_number(loop, args.quad)
     inputs = {"loop": args.loop, "quad": args.quad, "tol": args.tol}
     return _emit_integer(args, "winding", inputs, value, nearest)
 
 
 def cmd_linking(args):
+    from .geometry import linking_number
+
     l1 = load_loop(args.loop1)
     l2 = load_loop(args.loop2)
-    value, nearest = geo.linking_number(l1, l2, args.quad)
+    value, nearest = linking_number(l1, l2, args.quad)
     inputs = {"loop1": args.loop1, "loop2": args.loop2, "quad": args.quad, "tol": args.tol}
     return _emit_integer(args, "linking", inputs, value, nearest)
 
 
 def cmd_degree(args):
+    from .geometry import mapping_degree
+    from .parsing import parse_form, parse_map
+
     f = parse_map(args.map)
     domain = load_chain(args.domain)
     codomain = load_chain(args.codomain)
     testform = parse_form(args.form, codomain.ambient)
-    value, nearest = geo.mapping_degree(f, domain, codomain, testform, args.quad)
+    value, nearest = mapping_degree(f, domain, codomain, testform, args.quad)
     inputs = {"map": args.map, "domain": args.domain, "codomain": args.codomain, "tol": args.tol}
     return _emit_integer(args, "degree", inputs, value, nearest)
 
 
 def cmd_gauss_bonnet(args):
+    from .geometry import gauss_bonnet_check
+
     surface = load_surface(args.surface, args.chi)
-    total, expected, residual = geo.gauss_bonnet_check(surface, args.quad)
+    total, expected, residual = gauss_bonnet_check(surface, args.quad)
     emit(
         args,
         "gauss-bonnet",
@@ -323,7 +371,9 @@ def cmd_gauss_bonnet(args):
 
 
 def cmd_explain(args):
-    tables = co.known_cohomology_tables()
+    from .cohomology import known_cohomology_tables
+
+    tables = known_cohomology_tables()
     lines = [
         "H^0(connected manifold) = 1",
         "H^n(compact connected orientable n-manifold) = 1",
@@ -401,4 +451,8 @@ def main(argv=None) -> int:
 
 
 def entry():  # console-script hook
+    # numpy's OpenBLAS starts a thread pool when it loads, and the largest
+    # BLAS call here is a 3x3 det or solve: one thread starts faster.  A
+    # value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cells import Cell
-from .errors import InconsistentSequenceError, ParseError
-from .forms import DifferentialForm
-from .maps import SmoothMap
-from .parsing import json_fields, json_list
-from .scalar import ScalarExpr, sin, variable
+from .errors import InconsistentSequenceError, ParseError, json_fields, json_list
+
+if TYPE_CHECKING:
+    from .scalar import ScalarExpr
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,11 @@ class CircleGenerator:
 
 
 def circle_connecting_generator(klass=(1, 0), spec=32) -> CircleGenerator:
+    from .cells import Cell
+    from .forms import DifferentialForm
     from .integrate import integrate_cell
+    from .maps import SmoothMap
+    from .scalar import sin, variable
 
     a, b = klass
     y = variable(0)

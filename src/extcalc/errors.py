@@ -1,4 +1,8 @@
-"""Exception types shared across the package; each class sets its CLI exit code."""
+"""Exception types shared across the package; each class sets its CLI exit code.
+
+Also the checks of JSON input files, which raise ParseError: this module
+imports nothing, so the verbs that read only JSON load no expression engine.
+"""
 
 
 class ExtcalcError(Exception):
@@ -47,3 +51,22 @@ class RankDeficientError(ExtcalcError):
 
 class InconsistentSequenceError(ExtcalcError):
     """Exact-sequence data admits no solution."""
+
+
+def json_fields(data, what, *required, **optional):
+    """Values of the keys of a JSON object read from an input file: the
+    required keys in order, then the optional ones or their defaults.
+    ParseError when data is not an object or a required key is missing."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{what} is missing the key {key!r}")
+    return [data[key] for key in required] + [data.get(k, v) for k, v in optional.items()]
+
+
+def json_list(value, what):
+    """value itself, or ParseError when it is not a JSON list."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list")
+    return value

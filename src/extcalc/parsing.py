@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DegreeError, ParseError
+from .errors import DegreeError, ParseError, json_list
 from .forms import DifferentialForm
 from .maps import SmoothMap
 from .scalar import ScalarExpr, as_expr, cos, exp, ln, sin, sqrt, variable
@@ -292,25 +292,3 @@ def parse_map_components(components, k: int) -> SmoothMap:
         raise ParseError("cell map components must be strings")
     comps = [parse_scalar(c, k) for c in components]
     return SmoothMap(k, len(comps), comps)
-
-
-# -- JSON input files ---------------------------------------------------------
-
-
-def json_fields(data, what, *required, **optional):
-    """Values of the keys of a JSON object read from an input file: the
-    required keys in order, then the optional ones or their defaults.
-    ParseError when data is not an object or a required key is missing."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{what} must be a JSON object")
-    for key in required:
-        if key not in data:
-            raise ParseError(f"{what} is missing the key {key!r}")
-    return [data[key] for key in required] + [data.get(k, v) for k, v in optional.items()]
-
-
-def json_list(value, what):
-    """value itself, or ParseError when it is not a JSON list."""
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be a JSON list")
-    return value

@@ -1,7 +1,10 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 from extcalc import scalar as S
 from extcalc.forms import DifferentialForm
@@ -79,3 +82,17 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def python(*args, **env):
+    """Run a fresh interpreter that imports this checkout's extcalc; ``env``
+    sets variables of the child, and a value of None removes one."""
+    import extcalc
+
+    src = os.path.dirname(os.path.dirname(extcalc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={k: v for k, v in child.items() if v is not None},
+    )

@@ -3,12 +3,12 @@
 import json
 import math
 import os
-import subprocess
-import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from extcalc.cli import main
+from helpers import python
 
 
 def run(capsys, *argv):
@@ -432,51 +432,89 @@ class TestHostileInput:
             assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def python(*args):
-    """Run a fresh interpreter that imports this checkout's extcalc."""
-    import extcalc
-
-    src = os.path.dirname(os.path.dirname(extcalc.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-    )
-
-
 def test_python_m_runs_the_cli():
     proc = python("-m", "extcalc", "d", "--form", "x*dy", "--dim", "2")
     assert proc.returncode == 0
     assert proc.stdout == "dx/\\dy\n"
 
 
-def test_symbolic_verbs_never_load_numpy(tmp_path, circle_file):
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_entry_runs_one_blas_thread_unless_told_otherwise(given, expected):
+    script = (
+        "import atexit, os\n"
+        "atexit.register(lambda: print(os.environ['OPENBLAS_NUM_THREADS']))\n"
+        "from extcalc.cli import entry\n"
+        "entry()\n"
+    )
+    proc = python("-c", script, "explain", OPENBLAS_NUM_THREADS=given)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == expected
+
+
+def test_main_leaves_the_blas_threads_alone(capsys):
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    assert run(capsys, "explain")[0] == 0
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
+
+# Loaded by every symbolic verb that reads a form or a map.
+SYMBOLIC_CORE = {"cli", "errors", "scalar", "forms", "maps", "parsing"}
+
+# The command line of the console script; at exit it prints the extcalc
+# submodules, dataclasses and numpy that the run loaded.
+FOOTPRINT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps([m.removeprefix('extcalc.') for m in sys.modules\n"
+    "    if m.startswith('extcalc.') or m in ('dataclasses', 'numpy')])))\n"
+    "from extcalc.cli import entry\n"
+    "entry()\n"
+)
+
+
+def test_symbolic_verbs_never_load_numpy(tmp_path, circle_file, disk_file):
+    """Each verb, run in a fresh interpreter, loads only the modules it runs:
+    the extcalc submodules, dataclasses and numpy in sys.modules after it."""
     nerve = write_json(tmp_path / "nerve.json", {"vertices": 3, "simplices": [[0, 1], [1, 2]]})
     problem = write_json(tmp_path / "mv.json", {"slots": [{"dim": 0}, {}, {"dim": 0}]})
-    symbolic = [
-        ["d", "--form", "x*y*dx + exp(x)*dy", "--dim", "2"],
-        ["wedge", "--form", "x*dx", "--form", "y*dy", "--dim", "2"],
-        ["pullback", "--map", "map(r, theta) = r*cos(theta); r*sin(theta)", "--form", "dx/\\dy"],
-        ["primitive", "--form", "y*dx + x*dy", "--dim", "2"],
-        ["eval", "--form", "sin(x)*dy", "--dim", "2", "--point", "1,2"],
-        ["cohomology", "--sphere", "3"],
-        ["cohomology", "--nerve", nerve],
-        ["mv-solve", "--problem", problem],
-        ["explain"],
+    loops = [
+        write_json(tmp_path / f"loop{i}.json", {"ambient": 3, "cells": [
+            {"box": [[0.0, 2 * math.pi]], "map": components}]})
+        for i, components in enumerate((["cos(x)", "sin(x)", "0"], ["1 + cos(x)", "0", "sin(x)"]))
     ]
-    numeric = ["integrate", "--form", "x*dy - y*dx", "--chain", circle_file]
-    script = (
-        "import json, sys\n"
-        "import extcalc\n"
-        "from extcalc import cli\n"
-        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "symbolic_loaded = 'numpy' in sys.modules\n"
-        "codes.append(cli.main(json.loads(sys.argv[2])))\n"
-        "print(json.dumps([codes, symbolic_loaded, 'numpy' in sys.modules]))\n"
-    )
-    proc = python("-c", script, json.dumps(symbolic), json.dumps(numeric))
-    assert proc.returncode == 0, proc.stderr
-    codes, symbolic_loaded, numeric_loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * (len(symbolic) + 1)
-    assert not symbolic_loaded
-    assert numeric_loaded
+    sphere = write_json(tmp_path / "sphere.json", {"ambient": 3, "cells": [
+        {"box": [[0.0, math.pi], [0.0, 2 * math.pi]],
+         "map": ["sin(x)*cos(y)", "sin(x)*sin(y)", "cos(x)"]}]})
+    # argv, the modules it may load (None: no bound), modules it must not load
+    symbolic = [
+        (["d", "--form", "x*y*dx + exp(x)*dy", "--dim", "2"], SYMBOLIC_CORE, set()),
+        (["wedge", "--form", "x*dx", "--form", "y*dy", "--dim", "2"], SYMBOLIC_CORE, set()),
+        (["eval", "--form", "sin(x)*dy", "--dim", "2", "--point", "1,2"], SYMBOLIC_CORE, set()),
+        (["pullback", "--map", "map(r, theta) = r*cos(theta); r*sin(theta)",
+          "--form", "dx/\\dy"], SYMBOLIC_CORE, set()),
+        (["primitive", "--form", "y*dx + x*dy", "--dim", "2"],
+         SYMBOLIC_CORE | {"homotopy", "dataclasses"}, set()),
+        (["cohomology", "--sphere", "3"], None, {"scalar", "numpy"}),
+        (["cohomology", "--nerve", nerve], None, {"scalar", "numpy"}),
+        (["mv-solve", "--problem", problem], None, {"scalar", "numpy"}),
+        (["explain"], None, {"scalar", "numpy"}),
+    ]
+    never = {"cohomology", "homotopy", "tensors", "shapes"}
+    numeric = [
+        (["integrate", "--form", "x*dy - y*dx", "--chain", circle_file], None, never),
+        (["stokes", "--form", "x*dy", "--chain", disk_file, "--quad", "4"], None, never),
+        (["winding", "--loop", circle_file, "--quad", "8"], None, never),
+        (["linking", "--loop1", loops[0], "--loop2", loops[1], "--quad", "8"], None, never),
+        (["degree", "--map", "map(x, y) = x^2 - y^2; 2*x*y", "--domain", circle_file,
+          "--codomain", circle_file, "--form", "x*dy - y*dx", "--quad", "8"], None, never),
+        (["gauss-bonnet", "--surface", sphere, "--chi", "2", "--quad", "4"], None, never),
+    ]
+    cases = symbolic + numeric
+    with ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(lambda case: python("-c", FOOTPRINT, *case[0]), cases))
+    for case, proc in zip(cases, procs):
+        argv, allowed, forbidden = case
+        assert proc.returncode == 0, (argv, proc.stderr)
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert allowed is None or loaded <= allowed, (argv[0], loaded - allowed)
+        assert not loaded & forbidden, (argv[0], loaded & forbidden)
+        assert ("numpy" in loaded) == (case in numeric), argv[0]
