@@ -288,65 +288,55 @@ def mv_solve(problem: ExactSequenceProblem) -> MVSolution:
 
     Raises InconsistentSequenceError when the data admits no solution.
     """
-    dims = list(problem.dims)
-    ranks = list(problem.ranks)
-    m = len(dims)
-    dims[0] = 0
-    dims[-1] = 0
+    # one list: slot i at 2i, map j at 2j + 1, so each map sits between
+    # its source and target and each slot between its in- and out-map
+    vals = [None] * (2 * len(problem.dims) - 1)
+    vals[0::2] = problem.dims
+    vals[1::2] = problem.ranks
+    vals[0] = vals[-1] = 0
 
-    def set_dim(i, v):
+    def settle(p, v):
+        """Give value p the derived value v; True if it was unknown."""
+        if vals[p] == v:
+            return False
+        slot = p % 2 == 0
+        name = f"{'slot' if slot else 'map'} {p // 2}"
         if v < 0:
-            raise InconsistentSequenceError(f"slot {i} would need dimension {v}")
-        if dims[i] is None:
-            dims[i] = v
-            return True
-        if dims[i] != v:
             raise InconsistentSequenceError(
-                f"slot {i}: {dims[i]} conflicts with derived value {v}"
+                f"{name} would need {'dimension' if slot else 'rank'} {v}"
             )
-        return False
-
-    def set_rank(j, v):
-        if v < 0:
-            raise InconsistentSequenceError(f"map {j} would need rank {v}")
-        if ranks[j] is None:
-            ranks[j] = v
-            return True
-        if ranks[j] != v:
+        if vals[p] is not None:
             raise InconsistentSequenceError(
-                f"map {j}: rank {ranks[j]} conflicts with derived value {v}"
+                f"{name}: {'' if slot else 'rank '}{vals[p]} conflicts with derived value {v}"
             )
-        return False
+        vals[p] = v
+        return True
 
     changed = True
     while changed:
         changed = False
-        for j in range(m - 1):
-            if dims[j] == 0 or dims[j + 1] == 0:
-                if ranks[j] != 0:
-                    changed |= set_rank(j, 0)
-            if ranks[j] is not None:
-                if dims[j] is not None and ranks[j] > dims[j]:
-                    raise InconsistentSequenceError(
-                        f"map {j} rank exceeds source dimension"
-                    )
-                if dims[j + 1] is not None and ranks[j] > dims[j + 1]:
-                    raise InconsistentSequenceError(
-                        f"map {j} rank exceeds target dimension"
-                    )
-        for i in range(1, m - 1):
-            known = [x is not None for x in (dims[i], ranks[i - 1], ranks[i])]
-            if all(known):
-                if dims[i] != ranks[i - 1] + ranks[i]:
-                    raise InconsistentSequenceError(
-                        f"exactness fails at slot {i}"
-                    )
-            elif known == [False, True, True]:
-                changed |= set_dim(i, ranks[i - 1] + ranks[i])
-            elif known == [True, False, True]:
-                changed |= set_rank(i - 1, dims[i] - ranks[i])
-            elif known == [True, True, False]:
-                changed |= set_rank(i, dims[i] - ranks[i - 1])
+        for p in range(1, len(vals), 2):
+            source, rank, target = vals[p - 1], vals[p], vals[p + 1]
+            if rank != 0 and (source == 0 or target == 0):
+                changed |= settle(p, 0)
+                rank = 0
+            if rank is not None:
+                if source is not None and rank > source:
+                    raise InconsistentSequenceError(f"map {p // 2} rank exceeds source dimension")
+                if target is not None and rank > target:
+                    raise InconsistentSequenceError(f"map {p // 2} rank exceeds target dimension")
+        # exactness at each inner slot: dimension = rank in + rank out
+        for p in range(2, len(vals) - 2, 2):
+            trio = vals[p - 1:p + 2]
+            if None not in trio:
+                if trio[1] != trio[0] + trio[2]:
+                    raise InconsistentSequenceError(f"exactness fails at slot {p // 2}")
+            elif trio.count(None) == 1:
+                i = trio.index(None)
+                # the unknown from the other two: a sum, or a difference
+                v = trio[0] + trio[2] if i == 1 else trio[1] - trio[2 - i]
+                changed |= settle(p - 1 + i, v)
+    dims, ranks = vals[0::2], vals[1::2]
     unknown = [i for i, v in enumerate(dims) if v is None]
     return MVSolution(dims, ranks, not unknown, unknown)
 

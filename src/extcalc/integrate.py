@@ -13,11 +13,16 @@ that varies along dimension i only, so numpy broadcasting computes a value
 of one parameter once per node of its axis, not once per node of the cell
 (the first step of sum factorization; Orszag, J. Comput. Phys. 37, 1980).
 A face is its parent cell with one parameter pinned, so it is integrated
-through the parent's map with the pinned column of the Jacobian left out.
-The grid is evaluated in blocks of rows along the first free axis, about
-_BLOCK nodes each, into one array of all the node values; that array is
-summed by one ``np.sum`` in lexicographic order and chain terms in list
-order, so results are bit-reproducible.
+through the parent's map with the pinned column of the Jacobian left out;
+a derivative along the pinned axis, even a singular one, never reaches the
+integrand.  The grid is evaluated in blocks of rows along the first free
+axis, about _BLOCK nodes each, into one array of all the node values; that
+array is summed by one ``np.sum`` in lexicographic order and chain terms in
+list order, so results are bit-reproducible.  Every node value comes from
+the column evaluators, whose guards give nan where the scalar evaluator
+would fail; the scalar evaluators run only at the nodes where the integrand
+or the map's value is not finite, in lexicographic order, so that the first
+fault raises with its node.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
-from .scalar import evaluate_nodes
+from .scalar import check_nodes
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -137,11 +142,12 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
         return sum(a * minor for a, minor in zip(evaluate(comps), minors))
 
     def at_node(p):
-        """The integrand at one node from the scalar evaluators of what it
-        uses, so a derivative along a pinned axis is never evaluated."""
-        comps = [c.compiled()(p) for c in g.components]
+        """The integrand at one node from the scalar evaluators, run for
+        the error they raise: the components from g(p), and each Jacobian
+        entry of a free column from its own evaluator, so that a derivative
+        along a pinned axis is never evaluated."""
         return integrand(
-            comps, lambda i, j: None if zero[i][j] else jac[i][j].compiled()(p), coeffs.at
+            g(p), lambda i, j: None if zero[i][j] else jac[i][j].compiled()(p), coeffs.at
         )
 
     batch = g.batch()
@@ -154,27 +160,26 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
         block = list(grid)
         if free:
             block[free[0]] = grid[free[0]][cut]
+        with np.errstate(all="ignore"):
+            jet = batch.columns(block)
+            # a constant component as an array, so that numpy, not Python's
+            # float **, raises it to powers, as on a flat column
+            comps = [np.atleast_1d(c) for c in jet[:m]]
+            values[cut] = integrand(
+                comps, lambda i, j: None if zero[i][j] else jet[m + i * n + j], coeffs.columns
+            )
+        # the scalar evaluators run where the integrand or the map's value
+        # is not finite, to name the first fault in the parent's parameter
+        # coordinates, pinned values included
+        finite = np.isfinite(values[cut])
+        for c in comps:
+            finite &= np.isfinite(c)
         try:
-            with np.errstate(all="ignore"):
-                jet = batch.columns(block)
-                part = integrand(
-                    jet[:m],
-                    lambda i, j: None if zero[i][j] else jet[m + i * n + j],
-                    coeffs.columns,
-                )
-            good = np.isfinite(part).all()
-        except (SingularityError, ArithmeticError):
-            good = False
-        if not good:
-            # again one node at a time, so the first bad node is named in
-            # the parent's parameter coordinates, pinned values included
-            try:
-                part = np.reshape(evaluate_nodes(at_node, block), values[cut].shape)
-            except SingularityError as err:
-                raise SingularityError(
-                    f"integrand singular at quadrature node {err.node}: {err}"
-                ) from err
-        values[cut] = part
+            check_nodes(at_node, block, ~finite)
+        except SingularityError as err:
+            raise SingularityError(
+                f"integrand singular at quadrature node {err.node}: {err}"
+            ) from err
     values *= weights
     return cell.orientation * float(np.sum(values.ravel()))
 

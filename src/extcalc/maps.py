@@ -49,8 +49,7 @@ class SmoothMap:
 
     def __call__(self, point):
         """Evaluate numerically at a point."""
-        point = list(point)
-        return [c.compiled()(point) for c in self.components]
+        return list(self.batch(0).at(list(point)))
 
     def jacobian(self):
         """Symbolic Jacobian: entry (i, j) = d g_i / d x_j."""
@@ -71,16 +70,19 @@ class SmoothMap:
         return self._hess
 
     def jacobian_at(self, point):
-        point = list(point)
-        return [[e.compiled()(point) for e in row] for row in self.jacobian()]
+        values = self.batch(1).at(list(point))
+        m, n = self.m, self.n
+        return [list(values[m + i * n:m + i * n + n]) for i in range(m)]
 
     def batch(self, order=1) -> Batch:
-        """One evaluator of the components, then the Jacobian entries row by
-        row, then for order 2 the second derivatives d^2 g_i / dx_j dx_l with
-        j <= l, row by row; compiled once and kept for the map's lifetime."""
+        """One evaluator of the components, then for order 1 or 2 the
+        Jacobian entries row by row, then for order 2 the second derivatives
+        d^2 g_i / dx_j dx_l with j <= l, row by row; compiled once and kept
+        for the map's lifetime."""
         if order not in self._batches:
             exprs = list(self.components)
-            exprs += [e for row in self.jacobian() for e in row]
+            if order:
+                exprs += [e for row in self.jacobian() for e in row]
             if order == 2:
                 exprs += [h[j][l] for h in self.hessian()
                           for j in range(self.n) for l in range(j, self.n)]

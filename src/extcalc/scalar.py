@@ -890,16 +890,16 @@ class Batch:
     """Expressions compiled together into one evaluator, so that a function
     atom they share is computed once per node.
 
-    ``at(point)`` returns the tuple of values at one point.  ``columns(cols)``
-    runs the same code over numpy arrays, one per axis (or one number, for
-    an axis held constant), and returns one array or number per expression.
-    The arrays may be flat columns of equal length or an open grid, whose
-    axes numpy broadcasts against each other, so a value that depends on
-    one axis of the grid is computed once per node of that axis.  Where a
-    division, ln or sqrt guard would trip at some node it raises the
-    SingularityError the scalar evaluator raises; other faults surface as
-    inf/nan, so call it under ``np.errstate(all="ignore")`` and check the
-    result, or call ``evaluate``, which does both.
+    ``at(point)`` returns the tuple of values at one point from the scalar
+    evaluator.  ``columns(cols)`` runs the same code over numpy arrays, one
+    per axis, and returns one array (or number, for a constant expression)
+    per expression.  The arrays may be flat columns of equal length or an
+    open grid, whose axes numpy broadcasts against each other, so a value
+    that depends on one axis of the grid is computed once per node of that
+    axis.  ``columns`` never raises: its guards give nan wherever ``at``
+    would raise SingularityError, nan survives every later operation, and
+    an overflow gives inf.  Call it under ``np.errstate(all="ignore")`` and
+    check the values, or call ``evaluate``, which does both.
     """
 
     __slots__ = ("exprs", "_at", "_columns")
@@ -920,30 +920,23 @@ class Batch:
         return self._columns(cols)
 
     def evaluate(self, cols):
-        """Values at every node, an array of shape (len(exprs), nodes) with
-        the nodes in the order of ``flat_nodes(cols)``.
-
-        The columns run first, on the broadcast shape of the axes.  If a
-        guard trips or a value is not finite, the nodes are evaluated again
-        one at a time by ``evaluate_nodes``, so a failure raises exactly
-        what the scalar evaluator raises at the first bad node.
-        """
+        """The values of ``columns`` at every node, an array of shape
+        (len(exprs), nodes) with the nodes in the order of
+        ``flat_nodes(cols)``; ``check_nodes`` runs ``at`` where a value is
+        not finite, so the first node where ``at`` fails raises."""
         import numpy as np
 
-        try:
-            with np.errstate(all="ignore"):
-                values = self.columns(cols)
-            # a constant expression evaluates to a number, and an
-            # expression of some axes to an array of their shape
-            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
-            out = np.empty((len(values),) + shape)
-            for row, v in zip(out, values):
-                row[...] = v
-            if np.isfinite(out).all():
-                return out.reshape(len(values), math.prod(shape))
-        except (SingularityError, ArithmeticError):
-            pass
-        return np.array(evaluate_nodes(self.at, cols)).T
+        with np.errstate(all="ignore"):
+            values = self.columns(cols)
+        # a constant expression evaluates to a number, and an
+        # expression of some axes to an array of their shape
+        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+        out = np.empty((len(values),) + shape)
+        for row, v in zip(out, values):
+            row[...] = v
+        out = out.reshape(len(values), math.prod(shape))
+        check_nodes(self.at, cols, ~np.isfinite(out).all(axis=0))
+        return out
 
 
 def flat_nodes(grid) -> list:
@@ -956,39 +949,35 @@ def flat_nodes(grid) -> list:
     return [np.broadcast_to(c, shape).ravel() for c in grid]
 
 
-def evaluate_nodes(f, cols) -> list:
-    """f at every node of the columns or open grid (a point has one node
-    and no axes), in the order of ``flat_nodes``, each node a tuple of
-    floats; a SingularityError carries the first bad node as its ``node``
-    attribute."""
-    out = []
-    for point in zip(*(c.tolist() for c in flat_nodes(cols))) if cols else [()]:
+def check_nodes(f, cols, bad) -> None:
+    """Run f, for the error it raises, at the nodes of the columns or open
+    grid where the mask bad (of their broadcast shape, or flat) is set, in
+    the order of ``flat_nodes``, each node a tuple of floats (a point has
+    one node and no axes); a SingularityError carries its ``node``."""
+    if not bad.any():
+        return
+    for point in zip(*(c[bad.ravel()].tolist() for c in flat_nodes(cols))) if cols else [()]:
         try:
-            out.append(f(point))
+            f(point)
         except SingularityError as err:
             err.node = point
             raise
-    return out
 
 
 @functools.cache
 def _column_globals():
     import numpy as np
 
+    # nan where the scalar evaluator raises, put in the operand so that no
+    # guard warns
     def _div(a, b):
-        if np.any(b == 0.0):
-            raise SingularityError("division by zero during evaluation")
-        return a / b
+        return a / np.where(b == 0.0, np.nan, b)
 
     def _ln(u):
-        if np.any(u <= 0.0):
-            raise SingularityError("ln of a non-positive value")
-        return np.log(u)
+        return np.log(np.where(u <= 0.0, np.nan, u))
 
     def _sqrt(u):
-        if np.any(u < 0.0):
-            raise SingularityError("sqrt of a negative value")
-        return np.sqrt(u)
+        return np.sqrt(np.where(u < 0.0, np.nan, u))
 
     return {"_div": _div, "_ln": _ln, "_sqrt": _sqrt,
             "_exp": np.exp, "_sin": np.sin, "_cos": np.cos}

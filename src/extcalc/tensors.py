@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import DegreeError, DimensionMismatch, ParseError
+import numpy as np
 
-# numpy is imported inside the functions that use it, so that importing
-# extcalc (and every symbolic CLI verb) does not pay for loading it
+from .errors import DegreeError, DimensionMismatch, ParseError
 
 _MAX_ALT_DEGREE = 8
 
@@ -44,8 +43,6 @@ class GenericTensor:
     __slots__ = ("n", "k", "coeffs")
 
     def __init__(self, n, k, coeffs):
-        import numpy as np
-
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n,) * k:
             raise DimensionMismatch(
@@ -57,13 +54,9 @@ class GenericTensor:
 
     @staticmethod
     def scalar(n, value):
-        import numpy as np
-
         return GenericTensor(n, 0, np.asarray(float(value)))
 
     def evaluate(self, vectors) -> float:
-        import numpy as np
-
         vectors = [np.asarray(v, dtype=float) for v in vectors]
         if len(vectors) != self.k:
             raise DimensionMismatch(f"need {self.k} vectors, got {len(vectors)}")
@@ -92,8 +85,6 @@ class GenericTensor:
             raise DimensionMismatch("tensor shapes differ")
 
     def is_alternating(self, tol=1e-12) -> bool:
-        import numpy as np
-
         for i in range(self.k - 1):
             swapped = np.swapaxes(self.coeffs, i, i + 1)
             if not np.allclose(swapped, -self.coeffs, atol=tol):
@@ -146,8 +137,6 @@ class AltTensor:
         return AltTensor(form.n, form.k, coeffs)
 
     def expand(self) -> GenericTensor:
-        import numpy as np
-
         g = np.zeros((self.n,) * self.k)
         for idx, c in self.coeffs.items():
             for perm in itertools.permutations(range(self.k)):
@@ -196,8 +185,6 @@ def basis_covector(n: int, i: int) -> AltTensor:
 
 def tensor_product(a, b) -> GenericTensor:
     """(a (x) b)(v_1..v_{k+l}) = a(first k) * b(rest)."""
-    import numpy as np
-
     a = _as_generic(a)
     b = _as_generic(b)
     if a.n != b.n:
@@ -214,8 +201,6 @@ def _as_generic(t) -> GenericTensor:
 
 def alt(t) -> GenericTensor:
     """The alternation projector (1/k!) sum_sigma sign(sigma) t o sigma."""
-    import numpy as np
-
     t = _as_generic(t)
     if t.k > _MAX_ALT_DEGREE:
         raise DegreeError(
@@ -251,8 +236,6 @@ def pullback_linear(matrix, t):
     """Pull a tensor on R^m back through the linear map with the given
     m x n matrix; returns a tensor on R^n of the same flavor.
     """
-    import numpy as np
-
     a = np.asarray(matrix, dtype=float)
     was_alt = isinstance(t, AltTensor)
     g = _as_generic(t)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,38 @@ class TestMVSolve:
     def test_inconsistent_data(self):
         with pytest.raises(InconsistentSequenceError):
             mv_solve(ExactSequenceProblem([0, 2, 1, None, 0]))
+
+    # one problem per raise site: (dims, ranks, message)
+    RAISES = [
+        ([0, None, None, 0], [None, -1, None], "slot 1 would need dimension -1"),
+        ([0, 5, 2, None, 0], None, "map 2 would need rank -3"),
+        # a derived dimension meets a given one only in the exactness check
+        ([0, 2, 3, 0], None, "exactness fails at slot 2"),
+        ([0, 0, 1, 0], [None, 3, None], "map 1: rank 3 conflicts with derived value 0"),
+        ([0, 1, None, 0], [None, 2, None], "map 1 rank exceeds source dimension"),
+        ([0, None, 1, 0], [None, 2, None], "map 1 rank exceeds target dimension"),
+        ([0, 2, 1, 0], [0, 1, 0], "exactness fails at slot 1"),
+    ]
+
+    @pytest.mark.parametrize("dims, ranks, message", RAISES)
+    def test_each_raise_site(self, dims, ranks, message):
+        with pytest.raises(InconsistentSequenceError) as err:
+            mv_solve(ExactSequenceProblem(dims, ranks))
+        assert str(err.value) == message
+
+    def test_filled_values_equal_the_hidden_ones(self):
+        rng = random.Random(2026)
+        for _ in range(500):
+            m = rng.randint(2, 9)
+            ranks = [rng.randint(0, 4) for _ in range(m - 1)]
+            ranks[0] = ranks[-1] = 0
+            dims = [0] + [ranks[i - 1] + ranks[i] for i in range(1, m - 1)] + [0]
+            hide = lambda values: [None if rng.random() < 0.5 else v for v in values]  # noqa: E731
+            solution = mv_solve(ExactSequenceProblem(hide(dims), hide(ranks)))
+            for got, hidden in zip(solution.dims + solution.ranks, dims + ranks):
+                assert got in (None, hidden)
+            assert solution.determined == (None not in solution.dims)
+            assert solution.unknown_slots == [i for i, d in enumerate(solution.dims) if d is None]
 
     def test_alternating_sum_vanishes(self):
         problem = ExactSequenceProblem([0, 1, 2, 2, None, 0])

@@ -201,7 +201,7 @@ class TestFaces:
         assert err.value.__cause__.node == (0.0, first)
         assert f"quadrature node (0.0, {first!r}): ln of a non-positive value" in str(err.value)
 
-    def test_face_never_evaluates_its_pinned_derivative(self):
+    def test_face_never_evaluates_its_pinned_derivative(self, monkeypatch):
         # d/dr sqrt(r) is singular on the face r = 0, which does not use it
         r, t = S.variable(0), S.variable(1)
         comps = [S.sqrt(r) * S.cos(t), S.sqrt(r) * S.sin(t)]
@@ -212,6 +212,11 @@ class TestFaces:
         assert integrate_cell(w, center, 8) == 0.0
         lhs, rhs, _ = stokes_check(w, disk, 8)
         assert abs(lhs - math.pi) <= 1e-12 and abs(rhs - math.pi) <= 1e-4
+        # nor does the face fall back on the scalar evaluators
+        compiled = count_calls(monkeypatch, S.ScalarExpr, "compiled")
+        at = count_calls(monkeypatch, S.Batch, "at")
+        stokes_check(w, disk, 16)
+        assert (len(compiled), len(at)) == (0, 0)
 
     def test_stokes_on_points_rejected(self):
         points = boundary(sh.interval_cell(0, 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,20 @@ def test_a_pinned_value_rounds_like_a_flat_column():
         assert integrate_cell(form, cell, 2) == flat_integral(form, cell, 2)
 
 
+def test_a_constant_component_rounds_like_a_flat_column():
+    # a constant map component reaches the coefficients as an array, so
+    # numpy, not Python's float **, raises it to powers
+    rng = make_rng(78)
+    u, v, z = S.variable(0), S.variable(1), S.variable(2)
+    form = DifferentialForm(3, 2, {(0, 1): z**3 + z**5 * x})
+    for _ in range(300):
+        c = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        a = rng.uniform(-1.0, 0.5)
+        box = ((a, a + rng.uniform(0.25, 1.5)), (0.0, 1.0))
+        cell = Cell(box, SmoothMap(2, 3, [u, v, S.constant(c)]))
+        assert integrate_cell(form, cell, 2) == flat_integral(form, cell, 2)
+
+
 def test_fine_three_cell_peak_memory():
     import tracemalloc
 
@@ -220,9 +235,26 @@ def test_batch_computes_a_shared_atom_once(monkeypatch):
         assert np.max(np.abs(row - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
 
 
+def test_column_guards_give_nan_where_the_scalar_evaluator_raises():
+    # no warning either: this module turns a RuntimeWarning into an error
+    batch = Batch([S.ln(x), 1 / x, S.sqrt(x), x])
+    col = np.array([-1.0, 0.0, 2.0])
+    values = batch.columns([col])
+    for e, row in zip(batch.exprs, values):
+        f = e.compiled()
+        for value, point in zip(np.broadcast_to(row, col.shape).tolist(), col.tolist()):
+            kind, expected = outcome(lambda: f([point]))
+            if kind == "value":
+                assert math.isclose(value, expected, rel_tol=1e-15)
+            else:
+                assert kind is SingularityError and math.isnan(value)
+
+
 HOSTILE = [
     ("ln(x) on [-1, 1]", S.ln(x), (-1.0, 1.0), 16),
     ("1/x at odd q", 1 / x, (-1.0, 1.0), 5),
+    # a guard that let -inf through would make exp give 0 at the node x = 0
+    ("exp(-1/x^2) at odd q", S.exp(-1 / x**2), (-1.0, 1.0), 5),
     ("exp(1000*x)", S.exp(1000 * x), (0.0, 1.0), 16),
     ("x^400 on [0, 10]", x**400, (0.0, 10.0), 16),
 ]
