@@ -17,6 +17,7 @@ from .scalar import (
     axis_name,
     format_coefficient,
     format_expr,
+    sqrt,
     variable,
 )
 
@@ -351,8 +352,6 @@ def sphere_area_form() -> DifferentialForm:
 
 def solid_angle_form() -> DifferentialForm:
     """The sphere area form divided by |x|^3; closed on R^3 minus the origin."""
-    from .scalar import sqrt
-
     x, y, z = variable(0), variable(1), variable(2)
     r3 = sqrt(x * x + y * y + z * z) ** 3
     return sphere_area_form() / r3

@@ -25,10 +25,10 @@ from .errors import (
     RankDeficientError,
     SingularityError,
 )
-from .forms import DifferentialForm, angular_form
+from .forms import DifferentialForm, angular_form, solid_angle_form
 from .integrate import boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
-from .scalar import flat_nodes, variable
+from .scalar import first_node, variable
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -168,13 +168,12 @@ def _surface_frame(cell: Cell, cols, order=1):
     r_s, r_t = jac[:, 0], jac[:, 1]
     cross = np.cross(r_s, r_t, axis=0)
     area = np.sqrt(np.sum(cross * cross, axis=0))
-    bad = np.flatnonzero(area < 1e-12)
-    if bad.size:
-        node = tuple(float(c[bad[0]]) for c in flat_nodes(cols))
+    node = first_node(cols, area < 1e-12)
+    if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
     frame = (r_s, r_t, cell.orientation * cross / area, area)
     for h in second:
-        frame += (h[:, 0, 0], h[:, 0, 1], h[:, 1, 1])
+        frame += (h[:, 0], h[:, 1], h[:, 2])
     return frame
 
 
@@ -408,8 +407,6 @@ def linking_integrand_symbolic(loop1: Loop, loop2: Loop) -> DifferentialForm:
 
     This is the generic route the frozen kernel is checked against.
     """
-    from .forms import solid_angle_form
-
     s_comps = [c.substitute([variable(0)]) for c in loop1.cell.mapping.components]
     t_comps = [c.substitute([variable(1)]) for c in loop2.cell.mapping.components]
     g = SmoothMap(2, 3, [tc - sc for sc, tc in zip(s_comps, t_comps)])

@@ -103,17 +103,14 @@ def primitive(a: DifferentialForm) -> DifferentialForm:
             raise NotPolynomialError(f"coefficient {c} is not polynomial")
     if not a.is_closed():
         raise NotClosedError("the form is not closed")
-    b = _primitive_rec(a, 0)
+    # once every axis is pulled back to its zero section, a form of degree
+    # >= 1 has no terms left
+    b, rest = DifferentialForm.zero(a.n, a.k - 1), a
+    for axis in range(a.n):
+        if rest.is_zero():
+            break
+        b = b + fiber_integral(rest, axis)
+        rest = zero_section_pullback(rest, axis)
     if not (b.d() - a).is_zero():
         raise AssertionError("primitive construction failed verification")
     return b
-
-
-def _primitive_rec(a: DifferentialForm, axis: int) -> DifferentialForm:
-    if a.is_zero():
-        return DifferentialForm.zero(a.n, a.k - 1)
-    if axis >= a.n:
-        raise AssertionError("ran out of axes; input was not closed")
-    p = fiber_integral(a, axis)
-    rest = zero_section_pullback(a, axis)
-    return p + _primitive_rec(rest, axis + 1)

@@ -20,9 +20,9 @@ axis, about _BLOCK nodes each, into one array of all the node values; that
 array is summed by one ``np.sum`` in lexicographic order and chain terms in
 list order, so results are bit-reproducible.  Every node value comes from
 the column evaluators, whose guards give nan where the scalar evaluator
-would fail; the scalar evaluators run only at the nodes where the integrand
-or the map's value is not finite, in lexicographic order, so that the first
-fault raises with its node.
+would fail.  No integral comes back inf or nan: the first node, in
+lexicographic order, where the integrand or the map's value is not finite
+raises, and the scalar evaluators run at that one node to name the fault.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
-from .scalar import check_nodes
+from .scalar import first_node
 
 # numpy is imported inside the functions that use it, so that importing
 # extcalc (and every symbolic CLI verb) does not pay for loading it
@@ -112,7 +112,11 @@ def _minor(entry, rows, free, memo):
 
 
 def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
-    """Integral of a k-form over an oriented k-cell."""
+    """Integral of a k-form over an oriented k-cell.  At the first node
+    where the integrand or the map's value is not finite, the scalar
+    evaluators run once: their SingularityError is the cause of the one
+    raised, an OverflowError passes through, and if they raise nothing, the
+    value is named not a finite number."""
     import numpy as np
 
     if form.k != cell.k:
@@ -168,18 +172,19 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
             values[cut] = integrand(
                 comps, lambda i, j: None if zero[i][j] else jet[m + i * n + j], coeffs.columns
             )
-        # the scalar evaluators run where the integrand or the map's value
-        # is not finite, to name the first fault in the parent's parameter
-        # coordinates, pinned values included
+        # named in the parent's parameter coordinates, pinned values included
         finite = np.isfinite(values[cut])
         for c in comps:
             finite &= np.isfinite(c)
-        try:
-            check_nodes(at_node, block, ~finite)
-        except SingularityError as err:
-            raise SingularityError(
-                f"integrand singular at quadrature node {err.node}: {err}"
-            ) from err
+        node = first_node(block, ~finite)
+        if node is not None:
+            where = f"integrand singular at quadrature node {node}"
+            try:
+                at_node(node)
+            except SingularityError as err:
+                err.node = node
+                raise SingularityError(f"{where}: {err}") from err
+            raise SingularityError(f"{where}: not a finite number")
     values *= weights
     return cell.orientation * float(np.sum(values.ravel()))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .forms import DifferentialForm, _add_term
-from .scalar import Batch, ScalarExpr, as_expr, variable
+from .scalar import Batch, ScalarExpr, as_expr, cos, sin, variable
 
 
 class SmoothMap:
@@ -92,17 +92,14 @@ class SmoothMap:
     def columns(self, cols, order=1):
         """g, its Jacobian and for order 2 its second derivatives at the
         nodes of the columns (one float array per parameter): arrays of
-        shape (m, N), (m, n, N) and (m, n, n, N), from ``Batch.evaluate``,
-        so a failure names its node."""
+        shape (m, N), (m, n, N) and (m, n(n+1)/2, N), the last with the
+        pairs j <= l in the order of ``batch``, from ``Batch.evaluate``, so
+        a failure names its node."""
         values = self.batch(order).evaluate(cols)
         m, n = self.m, self.n
         out = [values[:m], values[m:m + m * n].reshape(m, n, -1)]
         if order == 2:
-            upper = values[m + m * n:].reshape(m, n * (n + 1) // 2, -1)
-            # entry (j, l) is read from the pair (min, max)
-            pairs = [(j, l) for j in range(n) for l in range(j, n)]
-            index = [[pairs.index((min(j, l), max(j, l))) for l in range(n)] for j in range(n)]
-            out.append(upper[:, index])
+            out.append(values[m + m * n:].reshape(m, n * (n + 1) // 2, -1))
         return out
 
     def jacobian_determinant(self) -> ScalarExpr:
@@ -180,7 +177,5 @@ def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
 
 def polar_map() -> SmoothMap:
     """(r, theta) -> (r cos theta, r sin theta)."""
-    from .scalar import cos, sin
-
     r, th = variable(0), variable(1)
     return SmoothMap(2, 2, [r * cos(th), r * sin(th)])

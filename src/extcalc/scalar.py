@@ -899,7 +899,8 @@ class Batch:
     axis.  ``columns`` never raises: its guards give nan wherever ``at``
     would raise SingularityError, nan survives every later operation, and
     an overflow gives inf.  Call it under ``np.errstate(all="ignore")`` and
-    check the values, or call ``evaluate``, which does both.
+    check the values, or call ``evaluate``, which does both and names the
+    first node whose value is not finite.
     """
 
     __slots__ = ("exprs", "_at", "_columns")
@@ -922,8 +923,10 @@ class Batch:
     def evaluate(self, cols):
         """The values of ``columns`` at every node, an array of shape
         (len(exprs), nodes) with the nodes in the order of
-        ``flat_nodes(cols)``; ``check_nodes`` runs ``at`` where a value is
-        not finite, so the first node where ``at`` fails raises."""
+        ``flat_nodes(cols)``.  Where a value is not finite, ``at`` runs once,
+        at the first such node: its SingularityError or OverflowError
+        raises, with the node on a SingularityError, and if it raises
+        nothing, a SingularityError names the node."""
         import numpy as np
 
         with np.errstate(all="ignore"):
@@ -935,7 +938,14 @@ class Batch:
         for row, v in zip(out, values):
             row[...] = v
         out = out.reshape(len(values), math.prod(shape))
-        check_nodes(self.at, cols, ~np.isfinite(out).all(axis=0))
+        node = first_node(cols, ~np.isfinite(out).all(axis=0))
+        if node is not None:
+            try:
+                self.at(node)
+            except SingularityError as err:
+                err.node = node
+                raise
+            raise SingularityError(f"value not finite at node {node}")
         return out
 
 
@@ -949,19 +959,15 @@ def flat_nodes(grid) -> list:
     return [np.broadcast_to(c, shape).ravel() for c in grid]
 
 
-def check_nodes(f, cols, bad) -> None:
-    """Run f, for the error it raises, at the nodes of the columns or open
-    grid where the mask bad (of their broadcast shape, or flat) is set, in
-    the order of ``flat_nodes``, each node a tuple of floats (a point has
-    one node and no axes); a SingularityError carries its ``node``."""
+def first_node(cols, bad):
+    """The first node of the columns or open grid where the mask bad (of
+    their broadcast shape, or flat) is set, in the order of ``flat_nodes``,
+    as a tuple of floats (a point has one node and no axes); None where no
+    node is set."""
     if not bad.any():
-        return
-    for point in zip(*(c[bad.ravel()].tolist() for c in flat_nodes(cols))) if cols else [()]:
-        try:
-            f(point)
-        except SingularityError as err:
-            err.node = point
-            raise
+        return None
+    i = int(bad.ravel().argmax())
+    return tuple(float(c[i]) for c in flat_nodes(cols))
 
 
 @functools.cache

@@ -343,6 +343,7 @@ class TestHostileInput:
         assert got == code
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        return err
 
     def test_overflow_is_one(self, capsys):
         self.fails_cleanly(capsys, 1, "eval", "--form", "exp(x)", "--point", "1000", "--dim", "1")
@@ -369,6 +370,19 @@ class TestHostileInput:
             {"ambient": 1, "cells": [{"box": [[0.0, math.inf]], "map": ["x"]}]},
         )
         self.fails_cleanly(capsys, 2, "integrate", "--form", "1", "--chain", ray)
+
+    def test_overflowing_integrand_names_its_node(self, capsys, tmp_path):
+        # 10^200 * x * y overflows to inf at every node without a Python
+        # exception; the first node is named instead of an inf result
+        far = write_json(
+            tmp_path / "far.json",
+            {"ambient": 2, "cells": [{"box": [[1e60, 2e60], [1e60, 2e60]], "map": ["x", "y"]}]},
+        )
+        err = self.fails_cleanly(
+            capsys, 1, "integrate", "--form", "10^200*x*y*dx/\\dy", "--chain", far, "--quad", "64"
+        )
+        assert err.startswith("error: integrand singular at quadrature node (1.0003")
+        assert err.rstrip().endswith("not a finite number")
 
     def test_nesting_limit(self, capsys):
         code, out, _ = run(capsys, "d", "--form", "(" * 200 + "x*dy" + ")" * 200, "--dim", "2")

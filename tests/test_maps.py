@@ -37,6 +37,16 @@ class TestJacobian:
         for p in ([0.0, 0.0], [1.5, -2.0]):
             assert np.allclose(np.array(g.jacobian_at(p)), np.array(a, dtype=float))
 
+    def test_second_derivative_columns_in_batch_order(self):
+        g = SmoothMap(2, 3, [x * x * y, S.sin(x) * y, x + y * y * y])
+        cols = [np.array([0.5, -1.0]), np.array([2.0, 0.25])]
+        _, _, second = g.columns(cols, 2)
+        assert second.shape == (3, 3, 2)
+        for i, h in enumerate(g.hessian()):
+            for r, (j, l) in enumerate(((0, 0), (0, 1), (1, 1))):
+                f = h[j][l].compiled()
+                assert np.allclose(second[i, r], [f(p) for p in zip(*cols)], rtol=1e-15, atol=0)
+
     def test_composition_jacobian_is_product(self):
         rng = make_rng(2)
         g = rand_map(rng, 2, 3)

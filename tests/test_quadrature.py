@@ -272,6 +272,32 @@ def test_hostile_integrand_fails_like_the_scalar_loop(name, coeff, interval, q, 
     assert got == expected
 
 
+def test_an_overflowing_product_names_its_first_node_once(monkeypatch):
+    # every node overflows to inf, and Python's float * raises nothing, so
+    # the scalar evaluators run at the first node only
+    seen = []
+    at = Batch.at
+    monkeypatch.setattr(Batch, "at", lambda self, p: seen.append(tuple(p)) or at(self, p))
+    y = S.variable(1)
+    box = ((1e60, 2e60), (1e60, 2e60))
+    form = DifferentialForm(2, 2, {(0, 1): S.constant(10**200) * x * y})
+    with pytest.raises(SingularityError) as err:
+        integrate_cell(form, identity_cell(box), 64)
+    cols, _ = flat_rule(box, 64)
+    first = (cols[0][0].item(), cols[1][0].item())
+    assert str(err.value) == f"integrand singular at quadrature node {first}: not a finite number"
+    assert set(seen) == {first}
+
+
+def test_batch_names_the_first_node_a_product_overflows():
+    # 1e200 * 1e200 is inf without a Python exception; 2 * 1e300 is finite
+    y = S.variable(1)
+    cols = [np.array([1.0, 1e200, 1e300, 2.0]), np.array([1.0, 1e200, 1e300, 1e300])]
+    with pytest.raises(SingularityError) as err:
+        Batch([x, x * y]).evaluate(cols)
+    assert str(err.value) == "value not finite at node (1e+200, 1e+200)"
+
+
 def test_linking_guard_names_the_dense_minimum():
     from fractions import Fraction
 
