@@ -16,7 +16,9 @@ one operation to every input and reports the time per operation:
 * substitute: a coefficient through the components of a map into its space;
 * differentiate: a coefficient along each of its axes;
 * pullback: a form through a map;
-* dd: ``d`` twice of a form.
+* dd: ``d`` twice of a form;
+* d_nest_25, d_nest_50, d_nest_75: ``d`` of ``sin(sin(...(x)))*dy`` on R^2
+  with sin nested 25, 50 and 75 deep, per call.
 
 The ``criterion_2`` row runs the body of acceptance criterion 2 (the
 200-instance symbolic property suites of ``tests/test_acceptance.py``) and
@@ -58,6 +60,8 @@ def _rows():
         maps.append(ec.parse_map(gen.smooth_map(rng, rng.randint(1, 3), n)))
     pairs = list(zip(scalars, scalars[1:] + scalars[:1]))
     derivatives = [(s, axis) for n, s in scalars for axis in range(n)]
+    nests = {depth: ec.parse_form("sin(" * depth + "x" + ")" * depth + "*dy", 2)
+             for depth in (25, 50, 75)}
 
     def criterion_2():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -75,6 +79,7 @@ def _rows():
             ec.pullback(g, w) for (_, _, w), g in zip(forms, maps)]),
         "dd": ("us/op", COUNT, lambda: [w.d().d() for _, _, w in forms]),
         "criterion_2": ("ms", 1, criterion_2),
+        **{f"d_nest_{depth}": ("ms", 1, w.d) for depth, w in nests.items()},
     }
 
 

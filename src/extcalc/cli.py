@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     except OverflowError as err:
         print(f"error: numeric overflow ({err})", file=sys.stderr)
         return 1
-    except (ValueError, RecursionError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -50,9 +50,11 @@ class Loop:
         (a, b), = self.cell.box
         pa = self.cell.mapping([a])
         pb = self.cell.mapping([b])
-        gap = max(abs(x - y) for x, y in zip(pa, pb))
-        if gap > 1e-12:
-            raise NotClosedError(f"endpoints differ by {gap:.3e}; not a closed loop")
+        # an endpoint that is not finite makes a gap nan, and nan <= 1e-12 is
+        # False (max() would keep or drop a nan by its position)
+        if not all(abs(x - y) <= 1e-12 for x, y in zip(pa, pb)):
+            raise NotClosedError(f"endpoints {tuple(pa)} and {tuple(pb)} differ by more "
+                                 "than 1e-12; not a closed loop")
 
     @property
     def ambient(self):

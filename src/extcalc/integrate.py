@@ -32,6 +32,7 @@ from functools import lru_cache
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
 from .forms import DifferentialForm
+from .maps import _minors
 from .scalar import first_node
 
 # numpy is imported inside the functions that use it, so that importing
@@ -80,35 +81,6 @@ def box_rule(box, q: int):
 # fine 3-cell (q=48 has 110592 nodes) runs slower than blocks that stay in
 # cache, and takes more memory.
 _BLOCK = 4096
-
-
-def _minors(entry, row_sets, free):
-    """The determinant of the Jacobian on each set of rows (codomain axes)
-    and the free columns, expanded along the last column, sub-minors shared.
-    entry(i, j) is an entry, or None where it is identically zero; a minor
-    with no nonzero term is None."""
-    memo = {(): 1.0}
-    return [_minor(entry, rows, free, memo) for rows in row_sets]
-
-
-# a module function: a nested closure that calls itself is a reference cycle,
-# which would hold every block's arrays until the cyclic collector runs
-def _minor(entry, rows, free, memo):
-    if rows not in memo:
-        last = len(rows) - 1
-        total = None
-        for r, i in enumerate(rows):
-            a = entry(i, free[last])
-            sub = None if a is None else _minor(entry, rows[:r] + rows[r + 1:], free, memo)
-            if sub is None:
-                continue
-            term = a if last == 0 else a * sub
-            if total is None:
-                total = -term if (last - r) % 2 else term
-            else:
-                total = total - term if (last - r) % 2 else total + term
-        memo[rows] = total
-    return memo[rows]
 
 
 def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:

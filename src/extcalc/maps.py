@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .forms import DifferentialForm, _add_term
-from .scalar import Batch, ScalarExpr, as_expr, cos, sin, variable
+from .scalar import ZERO, Batch, ScalarExpr, as_expr, cos, sin, variable
 
 
 class SmoothMap:
@@ -106,23 +106,42 @@ class SmoothMap:
         if self.n != self.m:
             raise DimensionMismatch("determinant needs a square Jacobian")
         jac = self.jacobian()
-        return _symbolic_det(jac)
+        axes = tuple(range(self.n))
+        (det,) = _minors(lambda i, j: None if jac[i][j].is_zero() else jac[i][j], [axes], axes)
+        return ZERO if det is None else as_expr(det)
 
     def __repr__(self):
         comps = "; ".join(str(c) for c in self.components)
         return f"SmoothMap({self.n}->{self.m}: {comps})"
 
 
-def _symbolic_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = as_expr(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _symbolic_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _minors(entry, row_sets, free):
+    """The determinant of the Jacobian on each set of rows (codomain axes)
+    and the free columns, expanded along the last column, sub-minors shared.
+    entry(i, j) is an entry, or None where it is identically zero; a minor
+    with no nonzero term is None."""
+    memo = {(): 1}
+    return [_minor(entry, rows, free, memo) for rows in row_sets]
+
+
+# a module function: a nested closure that calls itself is a reference cycle,
+# which would hold every block's arrays until the cyclic collector runs
+def _minor(entry, rows, free, memo):
+    if rows not in memo:
+        last = len(rows) - 1
+        total = None
+        for r, i in enumerate(rows):
+            a = entry(i, free[last])
+            sub = None if a is None else _minor(entry, rows[:r] + rows[r + 1:], free, memo)
+            if sub is None:
+                continue
+            term = a if last == 0 else a * sub
+            if total is None:
+                total = -term if (last - r) % 2 else term
+            else:
+                total = total - term if (last - r) % 2 else total + term
+        memo[rows] = total
+    return memo[rows]
 
 
 def compose(h: SmoothMap, g: SmoothMap) -> SmoothMap:

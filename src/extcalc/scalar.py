@@ -50,9 +50,11 @@ _FUNC_INDEX = {name: i for i, name in enumerate(_FUNCTIONS)}
 
 
 class _Atom:
-    """A polynomial indeterminate: an axis variable or a function application."""
+    """A polynomial indeterminate: an axis variable or a function application,
+    interned, so that it is its own identity.  A function atom lists in
+    ``deps`` the function atoms its argument is built from, in ``_walk`` order."""
 
-    __slots__ = ("kind", "axis", "name", "arg", "key", "_hash", "_axes", "__weakref__")
+    __slots__ = ("kind", "axis", "name", "arg", "key", "deps", "_axes", "__weakref__")
 
     def __init__(self, kind, axis=None, name=None, arg=None):
         self.kind = kind
@@ -63,18 +65,9 @@ class _Atom:
             self.key = (0, axis)
             self._axes = frozenset((axis,))
         else:
-            self.key = (1, _FUNC_INDEX[name], arg._key)
+            self.key = (1, _FUNC_INDEX[name], *arg._key)
             self._axes = arg.axes()
-        self._hash = hash(self.key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
+            self.deps = tuple(_walk((arg,)))
 
 
 # One live atom per key; an atom leaves the cache when no expression holds it.
@@ -91,11 +84,25 @@ def _var_atom(axis: int) -> _Atom:
 
 
 def _fn_atom(name: str, arg: "ScalarExpr") -> _Atom:
-    atom = _ATOM_CACHE.get((1, _FUNC_INDEX[name], arg._key))
+    atom = _ATOM_CACHE.get((1, _FUNC_INDEX[name], *arg._key))
     if atom is None:
         atom = _Atom("f", name=name, arg=arg)
         _ATOM_CACHE[atom.key] = atom
     return atom
+
+
+def _walk(exprs) -> dict:
+    """The function atoms of the expressions and of every argument inside
+    them, as the keys of a dict, each after the atoms of its argument."""
+    order = {}
+    for e in exprs:
+        for p in (e._num, e._den):
+            for m in p:
+                for a, _ in m:
+                    if a.kind == "f" and a not in order:
+                        order.update(dict.fromkeys(a.deps))
+                        order[a] = None
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ def _merge_monos(m1, m2):
     while i < n1 and j < n2:
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        if a1.key == a2.key:
+        if a1 is a2:
             pairs.append((a1, e1 + e2))
             i += 1
             j += 1
@@ -381,10 +388,10 @@ class ScalarExpr:
 
     @property
     def _key(self):
-        """A sorted rendering of num and den, built on first use: function
-        atoms are keyed on it, and it fixes the hash."""
+        """The flat keys of num and den, one after the other, built on first
+        use: function atoms are keyed on it, and it fixes the hash."""
         if self._sorted_key is None:
-            self._sorted_key = (_poly_key(self._num), _poly_key(self._den))
+            self._sorted_key = _poly_key(self._num) + _poly_key(self._den)
         return self._sorted_key
 
     @staticmethod
@@ -551,13 +558,11 @@ class ScalarExpr:
             raise DimensionMismatch("axis must be >= 0")
         if axis not in self.axes():
             return ZERO
-        dn = _poly_diff(self._num, axis)
-        if _p_is_const(self._den):
-            return dn
-        dd = _poly_diff(self._den, axis)
-        num_expr = ScalarExpr(self._num, _p_one())
-        den_expr = ScalarExpr(self._den, _p_one())
-        return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
+        derivs = {}
+        for a in _walk((self,)):
+            if axis in a._axes:
+                derivs[a] = _atom_diff(a, _diff(a.arg, axis, derivs))
+        return _diff(self, axis, derivs)
 
     def substitute(self, replacements) -> "ScalarExpr":
         """Simultaneously substitute axis i -> replacements[i]."""
@@ -568,11 +573,10 @@ class ScalarExpr:
                 f"expression uses axis {top} but only "
                 f"{len(replacements)} replacements were given"
             )
-        num = _poly_substitute(self._num, replacements)
-        den = _poly_substitute(self._den, replacements)
-        if den.is_zero():
-            raise SingularityError("substitution makes the denominator zero")
-        return num / den
+        images = {}
+        for a in _walk((self,)):
+            images[a] = _FUNC_CONSTRUCTORS[a.name](_substitute(a.arg, replacements, images))
+        return _substitute(self, replacements, images)
 
     def substitute_axis(self, axis: int, value) -> "ScalarExpr":
         """Substitute a single axis, leaving all others alone."""
@@ -608,8 +612,18 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
 
+# Keys are flat tuples of numbers, so no comparison or hash recurses: an
+# atom's is 0 and its axis, or 1, its function's index and its argument's
+# key; a polynomial's is its sorted terms, each _TERM, its monomial's atom
+# keys and exponents, _END and its coefficient, then _END.  _END sorts below
+# what stands in its place, as a tuple's end does, so keys sort as nested.
+_END, _TERM = -1, 0
+
+
 def _poly_key(p):
-    return tuple(sorted((_mono_key(m), (c.numerator, c.denominator)) for m, c in p.items()))
+    terms = sorted([_TERM, *itertools.chain.from_iterable(a.key + (e,) for a, e in m), _END,
+                    c.numerator, c.denominator] for m, c in p.items())
+    return (*itertools.chain.from_iterable(terms), _END)
 
 
 ZERO = ScalarExpr({}, _p_one())
@@ -742,12 +756,8 @@ _FUNC_CONSTRUCTORS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt
 # Differentiation / substitution helpers
 
 
-def _atom_diff(a: _Atom, axis: int) -> ScalarExpr:
-    if a.kind == "v":
-        return ONE if a.axis == axis else ZERO
-    if axis not in a._axes:
-        return ZERO
-    du = a.arg.differentiate(axis)
+def _atom_diff(a: _Atom, du: ScalarExpr) -> ScalarExpr:
+    """The derivative of the function atom a, where du is its argument's."""
     u_atom = ScalarExpr({((a, 1),): 1}, _p_one())
     if a.name == "exp":
         return u_atom * du
@@ -762,13 +772,24 @@ def _atom_diff(a: _Atom, axis: int) -> ScalarExpr:
     raise AssertionError(a.name)
 
 
-def _poly_diff(p, axis: int) -> ScalarExpr:
+def _diff(e: ScalarExpr, axis: int, derivs) -> ScalarExpr:
+    """de/d(axis), from derivs[a] = da/d(axis) for each function atom a."""
+    dn = _poly_diff(e._num, axis, derivs)
+    if _p_is_const(e._den):
+        return dn
+    dd = _poly_diff(e._den, axis, derivs)
+    num_expr = ScalarExpr(e._num, _p_one())
+    den_expr = ScalarExpr(e._den, _p_one())
+    return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
+
+
+def _poly_diff(p, axis: int, derivs) -> ScalarExpr:
     total = ZERO
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
             if axis not in a._axes:
                 continue
-            da = _atom_diff(a, axis)
+            da = derivs[a] if a.kind == "f" else ONE
             if da.is_zero():
                 continue
             rest = list(m[:i]) + list(m[i + 1:])
@@ -780,17 +801,22 @@ def _poly_diff(p, axis: int) -> ScalarExpr:
     return total
 
 
-def _poly_substitute(p, replacements) -> ScalarExpr:
+def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
+    """e with axis i -> replacements[i] and each function atom a -> images[a]."""
+    num, den = (_poly_substitute(p, replacements, images) for p in (e._num, e._den))
+    if den.is_zero():
+        raise SingularityError("substitution makes the denominator zero")
+    return num / den
+
+
+def _poly_substitute(p, replacements, images) -> ScalarExpr:
     # terms over denominator 1 add up in one dict; quotients add one by one
     poly: dict = {}
     quotients = ZERO
     for m, c in p.items():
         term = ScalarExpr.constant(c)
         for a, e in m:
-            if a.kind == "v":
-                sub = replacements[a.axis]
-            else:
-                sub = _FUNC_CONSTRUCTORS[a.name](a.arg.substitute(replacements))
+            sub = replacements[a.axis] if a.kind == "v" else images[a]
             term = term * sub ** e
         if _p_is_const(term._den):
             _p_add_into(poly, term._num)
@@ -838,21 +864,14 @@ _SUM_TERMS = 256
 
 
 class _CodeGen:
-    def __init__(self):
+    def __init__(self, exprs):
         self.lines = []
         self.names = {}
         self.counter = itertools.count()
-
-    def atom_src(self, a: _Atom) -> str:
-        if a.kind == "v":
-            return f"p[{a.axis}]"
-        name = self.names.get(a.key)
-        if name is None:
+        for a in _walk(exprs):
             arg_src = self.expr_src(a.arg)
-            name = f"t{next(self.counter)}"
+            name = self.names[a] = f"t{next(self.counter)}"
             self.lines.append(f"{name} = _{a.name}({arg_src})")
-            self.names[a.key] = name
-        return name
 
     def poly_src(self, p) -> str:
         if not p:
@@ -862,7 +881,7 @@ class _CodeGen:
             c = p[m]
             factors = []
             for a, e in m:
-                src = self.atom_src(a)
+                src = f"p[{a.axis}]" if a.kind == "v" else self.names[a]
                 factors.append(src if e == 1 else f"{src}**{e}")
             cf = float(c)
             if factors:
@@ -993,10 +1012,11 @@ def _compile(exprs, namespace):
     """A generated function f(p) of a point or of columns p: the value of
     one expression, or the tuple of values of a sequence of them, with each
     function atom computed once."""
-    gen = _CodeGen()
     if isinstance(exprs, ScalarExpr):
+        gen = _CodeGen((exprs,))
         result = gen.expr_src(exprs)
     else:
+        gen = _CodeGen(exprs)
         result = "(" + "".join(f"{gen.expr_src(e)}, " for e in exprs) + ")"
     body = "\n    ".join(gen.lines + [f"return {result}"])
     src = f"def _f(p):\n    {body}\n"
@@ -1017,22 +1037,17 @@ def axis_name(axis: int, n: int) -> str:
     return f"x{axis + 1}"
 
 
-def _atom_str(a: _Atom, n: int) -> str:
-    if a.kind == "v":
-        return axis_name(a.axis, n)
-    return f"{a.name}({format_expr(a.arg, n)})"
-
-
-def _mono_str(m, n: int) -> str:
+def _mono_str(m, n: int, names) -> str:
     parts = []
     for a, e in m:
-        s = _atom_str(a, n)
+        s = axis_name(a.axis, n) if a.kind == "v" else names[a]
         parts.append(s if e == 1 else f"{s}^{e}")
     return "*".join(parts)
 
 
-def _poly_terms(p, n: int):
-    """Render polynomial terms as (sign, body) pairs in print order."""
+def _poly_terms(p, n: int, names):
+    """Render polynomial terms as (sign, body) pairs in print order, where
+    names holds the text of each function atom."""
     def order(m):
         c = p[m]
         return (0 if c > 0 else 1, -_mono_degree(m), _mono_key(m))
@@ -1042,7 +1057,7 @@ def _poly_terms(p, n: int):
         c = p[m]
         sign = "-" if c < 0 else "+"
         mag = abs(c)
-        mono = _mono_str(m, n)
+        mono = _mono_str(m, n, names)
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -1053,8 +1068,8 @@ def _poly_terms(p, n: int):
     return out
 
 
-def _poly_str(p, n: int) -> str:
-    terms = _poly_terms(p, n)
+def _poly_str(p, n: int, names) -> str:
+    terms = _poly_terms(p, n, names)
     if not terms:
         return "0"
     first_sign, first_body = terms[0]
@@ -1069,13 +1084,20 @@ def format_expr(e: ScalarExpr, n: int | None = None) -> str:
     default, the smallest dimension that holds every axis used)."""
     if n is None:
         n = e.max_axis() + 1
-    num_str = _poly_str(e._num, n)
+    names = {}
+    for a in _walk((e,)):
+        names[a] = f"{a.name}({_expr_str(a.arg, n, names)})"
+    return _expr_str(e, n, names)
+
+
+def _expr_str(e: ScalarExpr, n: int, names) -> str:
+    num_str = _poly_str(e._num, n, names)
     if _p_is_const(e._den):
         return num_str
     if len(e._num) > 1:
         num_str = f"({num_str})"
-    den_terms = _poly_terms(e._den, n)
-    den_str = _poly_str(e._den, n)
+    den_terms = _poly_terms(e._den, n, names)
+    den_str = _poly_str(e._den, n, names)
     simple = (
         len(den_terms) == 1
         and den_terms[0][0] == "+"
@@ -1132,7 +1154,7 @@ def integrate_polynomial(e: ScalarExpr, axis: int, lower=0) -> ScalarExpr:
         pairs = []
         k = 0
         for a, ex in m:
-            if a is var_a or a.key == var_a.key:
+            if a is var_a:
                 k = ex
             else:
                 pairs.append((a, ex))

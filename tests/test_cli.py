@@ -384,6 +384,12 @@ class TestHostileInput:
         assert err.startswith("error: integrand singular at quadrature node (1.0003")
         assert err.rstrip().endswith("not a finite number")
 
+    def test_loop_with_an_endpoint_not_finite_is_one(self, capsys, tmp_path):
+        far = write_json(tmp_path / "far.json", {"ambient": 2, "cells": [
+            {"box": [[1e60, 2e60]], "map": ["10^200*x*x", "sin(x)"]}]})
+        err = self.fails_cleanly(capsys, 1, "winding", "--loop", far)
+        assert "endpoints (inf, " in err and "not a closed loop" in err
+
     def test_nesting_limit(self, capsys):
         code, out, _ = run(capsys, "d", "--form", "(" * 200 + "x*dy" + ")" * 200, "--dim", "2")
         assert code == 0 and out.strip() == "dx/\\dy"
@@ -437,13 +443,31 @@ class TestHostileInput:
             path.write_text(text)
         self.fails_cleanly(capsys, 2, *(str(path) if a == "FILE" else a for a in argv))
 
-    def test_deep_function_nest_never_escapes(self, capsys):
-        # printing recurses about five frames per nested call
+    def test_deep_function_nest_never_escapes(self, capsys, tmp_path, circle_file, disk_file):
+        # the deepest nest the parser accepts, through every verb that takes a
+        # form or a map
         deep = "sin(" * 200 + "x" + ")" * 200
-        code, out, err = run(capsys, "wedge", "--form", deep, "--form", "dy", "--dim", "2")
-        assert code in (0, 1)
-        if code:
-            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        loop = write_json(tmp_path / "loop.json", {"ambient": 2, "cells": [
+            {"box": [[0.0, 2 * math.pi]], "map": ["cos(x)", f"sin(x) + {deep}"]}]})
+        verbs = [
+            ["d", "--form", f"{deep}*dy", "--dim", "2"],
+            ["wedge", "--form", deep, "--form", "dy", "--dim", "2"],
+            ["eval", "--form", f"{deep}*dy", "--point", "0.5,0.5", "--dim", "2"],
+            ["pullback", "--map", f"map(u, v) = {deep.replace('x', 'u')}; u*v",
+             "--form", f"{deep}*dy"],
+            ["integrate", "--form", f"{deep}*dx", "--chain", circle_file],
+            ["stokes", "--form", f"{deep}*dy", "--chain", disk_file],
+            ["primitive", "--form", f"{deep}*dx", "--dim", "1"],
+            ["winding", "--loop", loop],
+            ["degree", "--map", f"map(x, y) = x; y + {deep}/9", "--domain", circle_file,
+             "--codomain", circle_file, "--form", "(x*dy - y*dx)/(x^2 + y^2)"],
+        ]
+        for argv in verbs:
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1), argv[0]
+            if code:
+                assert out == "" and len(err.splitlines()) == 1, argv[0]
+                assert err.startswith("error:") and "recursion" not in err, argv[0]
 
 
 def test_python_m_runs_the_cli():

@@ -104,6 +104,17 @@ class TestWinding:
         with pytest.raises(NotClosedError):
             Loop(Cell(((0.0, 3.0),), SmoothMap(1, 2, [S.cos(th), S.sin(th)])))
 
+    @pytest.mark.parametrize("other", [S.sin(S.variable(0)), S.constant(1)])
+    def test_loop_with_an_endpoint_not_finite_rejected(self, other):
+        # both first coordinates overflow to inf, so their gap is nan, whether
+        # the second coordinates differ or agree
+        s = S.variable(0)
+        far = SmoothMap(1, 2, [S.constant(10) ** 200 * s * s, other])
+        with pytest.raises(NotClosedError, match=r"endpoints \(inf, .*\) and \(inf, "):
+            Loop(Cell(((1e60, 2e60),), far))
+        with pytest.raises(NotClosedError):
+            Loop(Cell(((1e60, 2e60),), SmoothMap(1, 2, far.components[::-1])))
+
     def test_pinned_cell_rejected_as_loop(self):
         # the outer rim of the disk, a face whose map still takes (r, theta)
         rim = next(face for _, face in boundary(sh.disk_cell()))

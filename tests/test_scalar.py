@@ -413,3 +413,45 @@ def test_atom_cache_lets_unused_atoms_go():
     del e
     gc.collect()
     assert len(S._ATOM_CACHE) == before
+
+
+# The nested keys atoms had before their keys were flat, as the reference
+# the flat keys must sort like.
+def nested_atom_key(a):
+    if a.kind == "v":
+        return (0, a.axis)
+    return (1, S._FUNC_INDEX[a.name], (nested_poly_key(a.arg._num), nested_poly_key(a.arg._den)))
+
+
+def nested_mono_key(m):
+    return tuple((nested_atom_key(a), e) for a, e in m)
+
+
+def nested_poly_key(p):
+    return tuple(sorted((nested_mono_key(m), (c.numerator, c.denominator)) for m, c in p.items()))
+
+
+def test_flat_keys_sort_like_the_nested_ones():
+    rng = make_rng(15)
+    exprs = []
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        e = rand_elementary(rng, n)
+        for _ in range(rng.randint(0, 3)):
+            e = rand_elementary(rng, n) + rng.choice((S.exp, S.sin, S.cos))(e)
+        exprs.append(e)
+    polys = [p for e in exprs for p in (e._num, e._den) if p]
+    atoms = list(S._walk(exprs)) + [S._var_atom(i) for i in range(3)]
+    assert sorted(atoms, key=lambda a: a.key) == sorted(atoms, key=nested_atom_key)
+    assert len({a.key for a in atoms}) == len(atoms)
+    assert sorted(exprs, key=lambda e: e._key) == sorted(
+        exprs, key=lambda e: (nested_poly_key(e._num), nested_poly_key(e._den)))
+    monos = list(dict.fromkeys(m for p in polys for m in p))
+    assert sorted(monos, key=S._grlex) == sorted(
+        monos, key=lambda m: (S._mono_degree(m), nested_mono_key(m)))
+    names = {a: f"f{i}" for i, a in enumerate(atoms) if a.kind == "f"}
+    for p in polys:
+        assert S._p_lead(p) == min(p, key=lambda m: (
+            -S._mono_degree(m), tuple((nested_atom_key(a), -e) for a, e in m)))
+        order = sorted(p, key=lambda m: (p[m] < 0, -S._mono_degree(m), nested_mono_key(m)))
+        assert S._poly_terms(p, 3, names) == [S._poly_terms({m: p[m]}, 3, names)[0] for m in order]

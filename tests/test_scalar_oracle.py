@@ -106,3 +106,35 @@ def test_constants_hash_like_their_value(value):
     c = S.constant(value)
     for other in (value, Fraction(value), S.constant(Fraction(value)), S.constant(4 * value) / 4):
         assert c == other and hash(c) == hash(other)
+
+
+def function_nest(rng, n, depth):
+    """exp, ln, sin, cos and sqrt composed depth times in random order; the
+    argument of ln and sqrt is positive, and the values stay moderate.  ln is
+    rare: each ln(u) puts u into the derivative's denominator, whose normal
+    form multiplies out, so that k of them give it about 2^k terms."""
+    e = S.variable(rng.randrange(n))
+    for _ in range(depth):
+        name = rng.choice(("exp", "sin", "cos", "sqrt") * 3 + ("ln",))
+        if name in ("ln", "sqrt"):
+            arg = e * e + 1
+        else:
+            arg = e / 2 + S.variable(rng.randrange(n)) / 3
+        e = getattr(S, name)(arg)
+    return e
+
+
+@pytest.mark.parametrize("depth", [2, 10, 30])
+def test_derivative_of_a_function_nest_agrees(depth):
+    rng = make_rng(depth)
+    for _ in range(3):
+        n = rng.randint(1, 3)
+        e = function_nest(rng, n, depth)
+        axis = rng.randrange(n)
+        dref = sympy.diff(to_sympy(e), SYMBOLS[NAMES[axis]])
+        point = rand_point(rng, n, -1.5, 1.5)
+        subs = {SYMBOLS[NAMES[i]]: sympy.Float(v, 30) for i, v in enumerate(point)}
+        # evalf(subs=...) takes time exponential in the depth; xreplace does not
+        want = float(dref.xreplace(subs).evalf(30))
+        got = e.differentiate(axis).evaluate(point)
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
