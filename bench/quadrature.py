@@ -1,28 +1,32 @@
-"""Before/after timings of quadrature and the loop guard, written as BENCH_grid.json.
+"""Before/after timings of quadrature and the loop guard, written as BENCH_tape.json.
 
     python bench/quadrature.py --before OLD/src
 
 Run it from the root of a checkout; OLD is a checkout of the commit to
 compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
 measuring process per side and times REPEAT calls of each row after one
-untimed call (so the compiled batches of a reused map are warm, as in a
+untimed call (so the evaluation tapes of a reused map are built, as in a
 reused geometry).  The ``quadrature_*`` and ``stokes_half_ball`` rows
 include what the integration path builds from the form on every call: the
 symbolic pullback on the "before" side of BENCH_integrate.json, a compiled
 batch of the form's coefficients on its "after" side and on both sides of
-BENCH_guard.json, and nothing on the "after" side of BENCH_grid.json, where
-a form keeps its batches (``stokes_half_ball`` builds d of the form, and
-so a batch of its coefficients, on every call).  A ``stokes_fresh``
-row runs 20 checks on fresh integrands and maps, so it includes all
-symbolic work and code generation, and reports the time per check.  For
-every row and side the output holds the number of timed calls and their min
-and median.  The ``linking_*`` and ``winding_q32`` rows include the distance
-guard on 1024 samples per loop; ``linking_far_q64`` is a pair far apart and
-``linking_touching_q32`` a pair the guard rejects, the case where it compares
-the most points.  BENCH_guard.json, BENCH_integrate.json and
-BENCH_quadrature.json are earlier records of the same script, from when the
-guard began to prune with bounding boxes, when the integral stopped building
-the symbolic pullback and when it replaced the per-node loops.
+BENCH_guard.json, and nothing on the "after" side of BENCH_grid.json and on
+either side of BENCH_tape.json, where a form keeps its batches
+(``stokes_half_ball`` builds d of the form, and so a batch of its
+coefficients, on every call).  A ``stokes_fresh`` row runs 20 checks on
+fresh integrands and maps, so it includes all symbolic work and the
+building of every batch (Python source generated and compiled on the
+"before" side of BENCH_tape.json, a tape on its "after" side), and reports
+the time per check.  For every row and side the output holds the number of
+timed calls and their min and median.  The ``linking_*`` and
+``winding_q32`` rows include the distance guard on 1024 samples per loop;
+``linking_far_q64`` is a pair far apart and ``linking_touching_q32`` a pair
+the guard rejects, the case where it compares the most points.
+BENCH_guard.json, BENCH_integrate.json, BENCH_quadrature.json and
+BENCH_grid.json are earlier records of the same script, from when the guard
+began to prune with bounding boxes, when the integral stopped building the
+symbolic pullback, when it replaced the per-node loops and when it moved to
+the open grid.
 """
 
 from __future__ import annotations
@@ -126,4 +130,4 @@ def _rows():
 
 
 if __name__ == "__main__":
-    beforeafter.main(__doc__, __file__, "grid", _rows, ROUNDS, REPEAT)
+    beforeafter.main(__doc__, __file__, "tape", _rows, ROUNDS, REPEAT)

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import ExtcalcError, ParseError, SingularityError, json_fields, json_list
+from .errors import ExtcalcError, ParseError, SingularityError, json_fields, json_list, json_number
 
 if TYPE_CHECKING:
     from .cells import Chain
@@ -94,15 +94,17 @@ def load_chain(path: str) -> Chain:
             entry, "cell", "box", "map", orientation=1, weight=1
         )
         try:
-            box = tuple((float(a), float(b)) for a, b in box)
+            box = tuple((float(json_number(a, "box bound")), float(json_number(b, "box bound")))
+                        for a, b in box)
         except (TypeError, ValueError) as err:
             raise ParseError("a cell box must be a list of [low, high] number pairs") from err
         mapping = parse_map_components(components, len(box))
-        if mapping.m != ambient:
+        if mapping.m != json_number(ambient, "chain ambient"):
             raise ParseError(
                 f"cell map has {mapping.m} components but ambient is {ambient!r}"
             )
-        terms.append((weight, Cell(box, mapping, orientation)))
+        cell = Cell(box, mapping, json_number(orientation, "cell orientation"))
+        terms.append((json_number(weight, "chain weight"), cell))
     return Chain(terms)
 
 

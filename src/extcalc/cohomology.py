@@ -121,7 +121,7 @@ class Nerve:
     def from_json(data) -> "Nerve":
         vertices, simplices = json_fields(data, "nerve", "vertices", simplices=[])
         indices = [v for s in json_list(simplices, "simplices") for v in json_list(s, "simplex")]
-        if not all(isinstance(v, int) for v in [vertices] + indices):
+        if not all(type(v) is int for v in [vertices] + indices):  # not a bool
             raise ParseError("nerve vertex count and simplex vertices must be integers")
         return Nerve(vertices, simplices)
 
@@ -265,7 +265,7 @@ class ExactSequenceProblem:
         ranks = None
         if maps is not None:
             ranks = [json_fields(m, "map", rank=None)[0] for m in json_list(maps, "maps")]
-        if not all(v is None or isinstance(v, int) for v in dims + (ranks or [])):
+        if not all(v is None or type(v) is int for v in dims + (ranks or [])):  # not a bool
             raise ParseError("slot dims and map ranks must be integers")
         return ExactSequenceProblem(dims, ranks)
 

@@ -70,3 +70,10 @@ def json_list(value, what):
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a JSON list")
     return value
+
+
+def json_number(value, what):
+    """value, or ParseError unless it is a JSON number (true is a bool, not 1)."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{what} {value!r} is not a number")
+    return value

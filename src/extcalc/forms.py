@@ -108,7 +108,7 @@ class DifferentialForm:
 
     def batch(self, indices) -> Batch:
         """One evaluator of the coefficients of the given multi-indices, in
-        that order; compiled once and kept for the form's lifetime."""
+        that order; built once and kept for the form's lifetime."""
         if indices not in self._batches:
             self._batches[indices] = Batch(self.terms[idx] for idx in indices)
         return self._batches[indices]

@@ -26,7 +26,7 @@ from .errors import (
     SingularityError,
 )
 from .forms import DifferentialForm, angular_form, solid_angle_form
-from .integrate import boundary, box_rule, integrate, integrate_cell
+from .integrate import _finite_sum, boundary, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
 from .scalar import first_node, variable
 
@@ -168,12 +168,13 @@ def _surface_frame(cell: Cell, cols, order=1):
         raise DimensionMismatch("Gauss map needs an unpinned surface cell in R^3")
     _, jac, *second = cell.mapping.columns(cols, order)
     r_s, r_t = jac[:, 0], jac[:, 1]
-    cross = np.cross(r_s, r_t, axis=0)
-    area = np.sqrt(np.sum(cross * cross, axis=0))
+    with np.errstate(all="ignore"):
+        cross = np.cross(r_s, r_t, axis=0)
+        area = np.sqrt(np.sum(cross * cross, axis=0))
+        frame = (r_s, r_t, cell.orientation * cross / area, area)
     node = first_node(cols, area < 1e-12)
     if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
-    frame = (r_s, r_t, cell.orientation * cross / area, area)
     for h in second:
         frame += (h[:, 0], h[:, 1], h[:, 2])
     return frame
@@ -246,8 +247,9 @@ def _surface_integral(surface: Surface, spec, density) -> float:
     total = 0.0
     for cell in surface.cells:
         grid, weights = box_rule(cell.box, q)
-        total += float(np.sum(weights.ravel() * density(cell, grid)))
-    return total
+        with np.errstate(all="ignore"):
+            total += float(np.sum(weights.ravel() * density(cell, grid)))
+    return _finite_sum(total)
 
 
 def _curvature_density(cell: Cell, cols):

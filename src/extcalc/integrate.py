@@ -4,10 +4,10 @@ The semantics is the limit of Riemann sums over parameter boxes.  The
 evaluator is tensor-product Gauss-Legendre quadrature, over the free axes u
 of a cell with map g, of the pulled-back coefficient
 sum_I a_I(g(u)) det(dg_I/du) (Spivak, Calculus on Manifolds, ch. 4): the
-map's components and Jacobian come from its compiled batch, the
-coefficients a_I are evaluated on the component values by the form's
-batch, and each k x k minor is an explicit sum of products, so no
-pulled-back form is built.  ``box_rule`` lays out the nodes of every
+map's components and Jacobian come from the evaluation tape of its batch,
+the coefficients a_I are evaluated on the component values by the tape of
+the form's batch, and each k x k minor is an explicit sum of products, so
+no pulled-back form is built.  ``box_rule`` lays out the nodes of every
 quadrature in the package as an open grid: the i-th free axis is an array
 that varies along dimension i only, so numpy broadcasting computes a value
 of one parameter once per node of its axis, not once per node of the cell
@@ -22,11 +22,13 @@ list order, so results are bit-reproducible.  Every node value comes from
 the column evaluators, whose guards give nan where the scalar evaluator
 would fail.  No integral comes back inf or nan: the first node, in
 lexicographic order, where the integrand or the map's value is not finite
-raises, and the scalar evaluators run at that one node to name the fault.
+raises, and the scalar evaluators run at that one node to name the fault;
+a weighted sum of finite node values that overflows raises too.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .cells import Cell, Chain, free_axes, quad_points
@@ -157,8 +159,16 @@ def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
                 err.node = node
                 raise SingularityError(f"{where}: {err}") from err
             raise SingularityError(f"{where}: not a finite number")
-    values *= weights
-    return cell.orientation * float(np.sum(values.ravel()))
+    with np.errstate(all="ignore"):
+        values *= weights
+        return cell.orientation * _finite_sum(float(np.sum(values.ravel())))
+
+
+def _finite_sum(total: float) -> float:
+    """total, or SingularityError where a sum of finite values overflowed."""
+    if not math.isfinite(total):
+        raise SingularityError("the weighted quadrature sum is not a finite number")
+    return total
 
 
 def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
@@ -177,7 +187,7 @@ def integrate(form: DifferentialForm, domain, spec=16) -> float:
     for w, cell in domain:
         if w:
             total += w * _cell_integral(form, cell, q)
-    return total
+    return _finite_sum(total)
 
 
 def boundary(domain):

@@ -77,7 +77,7 @@ class SmoothMap:
     def batch(self, order=1) -> Batch:
         """One evaluator of the components, then for order 1 or 2 the
         Jacobian entries row by row, then for order 2 the second derivatives
-        d^2 g_i / dx_j dx_l with j <= l, row by row; compiled once and kept
+        d^2 g_i / dx_j dx_l with j <= l, row by row; built once and kept
         for the map's lifetime."""
         if order not in self._batches:
             exprs = list(self.components)

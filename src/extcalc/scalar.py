@@ -146,7 +146,7 @@ def _mono_key(m):
 
 
 def _grlex(m):
-    """A deterministic total order for printing/codegen (not multiplicative)."""
+    """A deterministic total order for printing/evaluation (not multiplicative)."""
     return (_mono_degree(m), _mono_key(m))
 
 
@@ -596,9 +596,10 @@ class ScalarExpr:
         return self.compiled()(point)
 
     def compiled(self):
-        """A fast float evaluator ``f(point) -> float`` for this expression."""
+        """A float evaluator ``f(point) -> float``: the one-output ``Batch.at``."""
         if self._compiled is None:
-            self._compiled = _compile(self, _EVAL_GLOBALS)
+            at = Batch((self,)).at
+            self._compiled = lambda point: at(point)[0]
         return self._compiled
 
     # -- presentation ---------------------------------------------------------
@@ -826,7 +827,7 @@ def _poly_substitute(p, replacements, images) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation
+# Evaluation tape
 
 
 def _eval_div(a, b):
@@ -847,97 +848,110 @@ def _eval_sqrt(u):
     return math.sqrt(u)
 
 
-_EVAL_GLOBALS = {
-    "_div": _eval_div,
-    "_ln": _eval_ln,
-    "_sqrt": _eval_sqrt,
-    "_exp": math.exp,
-    "_sin": math.sin,
-    "_cos": math.cos,
-}
+_FLOAT_FNS = {"div": _eval_div, "ln": _eval_ln, "sqrt": _eval_sqrt,
+              "exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
-# Terms of a sum emitted in one line of generated code.  CPython's compiler
-# recurses once per operator, so a longer sum is accumulated over several
-# statements, still left to right.
-_SUM_TERMS = 256
+@functools.cache
+def _column_fns():
+    import numpy as np
+
+    # nan where the float functions raise, in the operand so that no guard warns
+    return {"div": lambda a, b: a / np.where(b == 0.0, np.nan, b),
+            "ln": lambda u: np.log(np.where(u <= 0.0, np.nan, u)),
+            "sqrt": lambda u: np.sqrt(np.where(u < 0.0, np.nan, u)),
+            "exp": np.exp, "sin": np.sin, "cos": np.cos}
 
 
-class _CodeGen:
-    def __init__(self, exprs):
-        self.lines = []
-        self.names = {}
-        self.counter = itertools.count()
-        for a in _walk(exprs):
-            arg_src = self.expr_src(a.arg)
-            name = self.names[a] = f"t{next(self.counter)}"
-            self.lines.append(f"{name} = _{a.name}({arg_src})")
+def _tape(exprs):
+    """The straight-line program of the expressions: (width, steps, outputs).
+    Registers 0..width-1 hold the coordinates, each step appends one, and
+    outputs names each expression's register.  A step is ("*", c, factors):
+    c (None for 1.0 before a factor) times the factors (register, exponent)
+    left to right, powers by **; ("+", i, rest): r[i] plus the registers
+    rest left to right; ("div", i, j); or (name, i, None), a function atom.
+    Terms are in ``_grlex`` order, atoms in ``_walk`` order, and a step that
+    recurs is one register."""
+    width = max((e.max_axis() for e in exprs), default=-1) + 1
+    steps, regs = [], {}
 
-    def poly_src(self, p) -> str:
-        if not p:
-            return "0.0"
-        parts = []
+    def reg(step, key=None):
+        key = step if key is None else key
+        if key not in regs:
+            regs[key] = width + len(steps)
+            steps.append(step)
+        return regs[key]
+
+    def poly(p):
+        p = p or {_MONO_ONE: 0}  # the empty sum is 0.0
+        terms = []
         for m in sorted(p, key=_grlex):
-            c = p[m]
-            factors = []
-            for a, e in m:
-                src = f"p[{a.axis}]" if a.kind == "v" else self.names[a]
-                factors.append(src if e == 1 else f"{src}**{e}")
-            cf = float(c)
-            if factors:
-                body = "*".join(factors)
-                parts.append(body if cf == 1.0 else f"{cf!r}*{body}")
-            else:
-                parts.append(f"{cf!r}")
-        if len(parts) <= _SUM_TERMS:
-            return " + ".join(parts)
-        name = f"s{next(self.counter)}"
-        self.lines.append(f"{name} = " + " + ".join(parts[:_SUM_TERMS]))
-        for start in range(_SUM_TERMS, len(parts), _SUM_TERMS):
-            self.lines.append(f"{name} = {name} + " + " + ".join(parts[start:start + _SUM_TERMS]))
-        return name
+            factors = tuple((a.axis if a.kind == "v" else regs[a], e) for a, e in m)
+            c = float(p[m])
+            # keyed on the exact coefficient, as 0.0 == -0.0
+            terms.append(reg(("*", None if factors and c == 1.0 else c, factors), ("*", p[m], m)))
+        return terms[0] if len(terms) == 1 else reg(("+", terms[0], tuple(terms[1:])))
 
-    def expr_src(self, e: ScalarExpr) -> str:
-        num = self.poly_src(e._num)
-        if _p_is_const(e._den):
-            return f"({num})"
-        den = self.poly_src(e._den)
-        return f"_div({num}, {den})"
+    def quotient(e):
+        num = poly(e._num)
+        return num if _p_is_const(e._den) else reg(("div", num, poly(e._den)))
+
+    for a in _walk(exprs):
+        regs[a] = reg((a.name, quotient(a.arg), None))
+    return width, steps, [quotient(e) for e in exprs]
+
+
+def _run(tape, p, fns):
+    """The tape's outputs at the point or columns p, by the functions fns."""
+    width, steps, outputs = tape
+    r = [p[a] for a in range(width)]
+    for op, a, b in steps:
+        if op == "*":
+            v = a
+            for i, e in b:
+                f = r[i] if e == 1 else r[i] ** e
+                v = f if v is None else v * f
+        elif op == "+":
+            v = r[a]
+            for i in b:
+                v = v + r[i]
+        else:
+            v = fns[op](r[a]) if b is None else fns[op](r[a], r[b])
+        r.append(v)
+    return tuple(r[i] for i in outputs)
 
 
 class Batch:
-    """Expressions compiled together into one evaluator, so that a function
-    atom they share is computed once per node.
+    """Expressions evaluated together by one tape (``_tape``), so that a
+    function atom they share is computed once per node.
 
-    ``at(point)`` returns the tuple of values at one point from the scalar
-    evaluator.  ``columns(cols)`` runs the same code over numpy arrays, one
-    per axis, and returns one array (or number, for a constant expression)
-    per expression.  The arrays may be flat columns of equal length or an
-    open grid, whose axes numpy broadcasts against each other, so a value
-    that depends on one axis of the grid is computed once per node of that
-    axis.  ``columns`` never raises: its guards give nan wherever ``at``
-    would raise SingularityError, nan survives every later operation, and
-    an overflow gives inf.  Call it under ``np.errstate(all="ignore")`` and
-    check the values, or call ``evaluate``, which does both and names the
-    first node whose value is not finite.
+    ``at(point)`` returns the tuple of values at one point from the float
+    functions, which raise SingularityError where a value is undefined.
+    ``columns(cols)`` runs the same tape over numpy arrays, one per axis,
+    and returns one array (or number, for a constant expression) per
+    expression: the same float operations in the same order, so the same
+    bits at every node.  The arrays may be flat columns of equal length or
+    an open grid, whose axes numpy broadcasts against each other, so a
+    value that depends on one axis of the grid is computed once per node of
+    that axis.  ``columns`` never raises: its guards give nan wherever
+    ``at`` would raise SingularityError, nan survives every later
+    operation, and an overflow gives inf.  Call it under
+    ``np.errstate(all="ignore")`` and check the values, or call
+    ``evaluate``, which does both and names the first node whose value is
+    not finite.
     """
 
-    __slots__ = ("exprs", "_at", "_columns")
+    __slots__ = ("exprs", "_tape")
 
     def __init__(self, exprs):
         self.exprs = tuple(exprs)
-        self._at = None
-        self._columns = None
+        self._tape = _tape(self.exprs)
 
     def at(self, point) -> tuple:
-        if self._at is None:
-            self._at = _compile(self.exprs, _EVAL_GLOBALS)
-        return self._at(point)
+        return _run(self._tape, point, _FLOAT_FNS)
 
     def columns(self, cols) -> tuple:
-        if self._columns is None:
-            self._columns = _compile(self.exprs, _column_globals())
-        return self._columns(cols)
+        return _run(self._tape, cols, _column_fns())
 
     def evaluate(self, cols):
         """The values of ``columns`` at every node, an array of shape
@@ -987,42 +1001,6 @@ def first_node(cols, bad):
         return None
     i = int(bad.ravel().argmax())
     return tuple(float(c[i]) for c in flat_nodes(cols))
-
-
-@functools.cache
-def _column_globals():
-    import numpy as np
-
-    # nan where the scalar evaluator raises, put in the operand so that no
-    # guard warns
-    def _div(a, b):
-        return a / np.where(b == 0.0, np.nan, b)
-
-    def _ln(u):
-        return np.log(np.where(u <= 0.0, np.nan, u))
-
-    def _sqrt(u):
-        return np.sqrt(np.where(u < 0.0, np.nan, u))
-
-    return {"_div": _div, "_ln": _ln, "_sqrt": _sqrt,
-            "_exp": np.exp, "_sin": np.sin, "_cos": np.cos}
-
-
-def _compile(exprs, namespace):
-    """A generated function f(p) of a point or of columns p: the value of
-    one expression, or the tuple of values of a sequence of them, with each
-    function atom computed once."""
-    if isinstance(exprs, ScalarExpr):
-        gen = _CodeGen((exprs,))
-        result = gen.expr_src(exprs)
-    else:
-        gen = _CodeGen(exprs)
-        result = "(" + "".join(f"{gen.expr_src(e)}, " for e in exprs) + ")"
-    body = "\n    ".join(gen.lines + [f"return {result}"])
-    src = f"def _f(p):\n    {body}\n"
-    namespace = dict(namespace)
-    exec(src, namespace)  # noqa: S102 - generated from canonical form only
-    return namespace["_f"]
 
 
 # ---------------------------------------------------------------------------

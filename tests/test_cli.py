@@ -384,6 +384,19 @@ class TestHostileInput:
         assert err.startswith("error: integrand singular at quadrature node (1.0003")
         assert err.rstrip().endswith("not a finite number")
 
+    def test_overflowing_quadrature_sum_is_one(self, capsys, tmp_path):
+        # every node value is finite, but the weighted sum is not, and numpy
+        # warns nothing
+        far = write_json(tmp_path / "far.json", {"ambient": 2, "cells": [
+            {"box": [[0.0, 1e308]], "map": ["x", "x"]}]})
+        big = write_json(tmp_path / "big.json", {"ambient": 3, "cells": [
+            {"box": [[0.0, math.pi], [0.0, 2 * math.pi]],
+             "map": ["10^200*sin(x)*cos(y)", "10^200*sin(x)*sin(y)", "10^200*cos(x)"]}]})
+        for argv in (["integrate", "--form", "x*dx", "--chain", far],
+                     ["gauss-bonnet", "--surface", big, "--chi", "2"]):
+            err = self.fails_cleanly(capsys, 1, *argv)
+            assert err == "error: the weighted quadrature sum is not a finite number\n"
+
     def test_loop_with_an_endpoint_not_finite_is_one(self, capsys, tmp_path):
         far = write_json(tmp_path / "far.json", {"ambient": 2, "cells": [
             {"box": [[1e60, 2e60]], "map": ["10^200*x*x", "sin(x)"]}]})
@@ -436,6 +449,13 @@ class TestHostileInput:
         (["d", "--form", "1", "--dim", "-1"], None),
         (chain, cell % ', "weight": "2"'),
         (chain + ["--quad", "2.5"], cell % ""),
+        # JSON true and false are not numbers, although Python's bool is an int
+        (chain, cell % ', "weight": true'),
+        (chain, cell % ', "orientation": true'),
+        (chain, '{"ambient": true, "cells": [{"box": [[0, 1]], "map": ["x"]}]}'),
+        (chain, '{"ambient": 1, "cells": [{"box": [[false, true]], "map": ["x"]}]}'),
+        (["cohomology", "--nerve", "FILE"], '{"vertices": 3, "simplices": [[0, true]]}'),
+        (["mv-solve", "--problem", "FILE"], '{"slots": [{"dim": 0}, {"dim": true}, {"dim": 0}]}'),
     ])
     def test_malformed_input_is_two(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"

@@ -322,6 +322,13 @@ class TestGaussBonnet:
             gauss_bonnet_check(surface, 5)
         assert str(info.value) == f"rank-deficient node (0.0, {first_v})"
 
+    def test_overflowing_sum_is_refused(self):
+        # a sphere of radius 10^200: its frame overflows to inf and nan
+        surface = Surface([sh.sphere_cell(10**200)], chi=2)
+        for integral in (gauss_bonnet_check, surface_area, gauss_map_area_pullback):
+            with pytest.raises(SingularityError, match="sum is not a finite number"):
+                integral(surface, 8)
+
     def test_pullback_of_area_matches_curvature_integral(self):
         surface = Surface([sh.ellipsoid_cell(1.25, 1.0, 0.8)], chi=2)
         lhs = gauss_map_area_pullback(surface, 24)

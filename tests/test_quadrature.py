@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from extcalc import scalar as S
-from extcalc.cells import Cell
+from extcalc.cells import Cell, Chain
 from extcalc.errors import SingularityError
 from extcalc.forms import DifferentialForm
 from extcalc.geometry import Loop, linking_number
-from extcalc.integrate import box_rule, integrate_cell
+from extcalc.integrate import box_rule, integrate, integrate_cell
 from extcalc.maps import SmoothMap
 from extcalc.scalar import Batch, flat_nodes
 
@@ -224,7 +224,7 @@ def test_constant_expression_fills_the_column():
 
 def test_batch_computes_a_shared_atom_once(monkeypatch):
     calls = []
-    monkeypatch.setitem(S._column_globals(), "_sin", lambda u: calls.append(u) or np.sin(u))
+    monkeypatch.setitem(S._column_fns(), "sin", lambda u: calls.append(u) or np.sin(u))
     exprs = [S.sin(x), 2 * S.sin(x) * S.cos(x), S.sin(x) ** 2 + x]
     cols, _ = flat_rule(BOXES[0], 5)
     values = Batch(exprs).evaluate(cols)
@@ -287,6 +287,18 @@ def test_an_overflowing_product_names_its_first_node_once(monkeypatch):
     first = (cols[0][0].item(), cols[1][0].item())
     assert str(err.value) == f"integrand singular at quadrature node {first}: not a finite number"
     assert set(seen) == {first}
+
+
+def test_an_overflowing_weighted_sum_is_refused():
+    # every node value is finite, but the weighted sum of a cell, or of a
+    # chain of finite cell integrals, is not
+    cell = Cell(((0.0, 1e308),), SmoothMap(1, 2, [x, x]))
+    with pytest.raises(SingularityError, match="sum is not a finite number"):
+        integrate_cell(DifferentialForm(2, 1, {(0,): x}), cell, 16)
+    line = identity_cell(((0.0, 1e308),))
+    assert integrate_cell(top_form(S.constant(1), 1), line) == 1e308
+    with pytest.raises(SingularityError, match="sum is not a finite number"):
+        integrate(top_form(S.constant(1), 1), Chain.of(line, line))
 
 
 def test_batch_names_the_first_node_a_product_overflows():

@@ -154,13 +154,20 @@ class TestEvaluate:
         for got in (by_point, by_column):
             assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_long_sum_keeps_the_order_of_one_line(self, monkeypatch):
-        poly, _ = self.product_of_sums((12, 12, 10))
-        split = S._compile(poly, S._EVAL_GLOBALS)
-        monkeypatch.setattr(S, "_SUM_TERMS", len(poly._num))
-        whole = S._compile(poly, S._EVAL_GLOBALS)
+    def test_long_sum_adds_in_grlex_order(self):
+        # the reference of the evaluation order: terms in _grlex order, each
+        # its coefficient times its factors left to right, added left to
+        # right (1.0 * v and v ** 1 are v exactly)
+        poly, _ = self.product_of_sums((18, 18, 16))
+        assert len(poly._num) >= 5000
         for point in [(0.5, 0.75, 1.25), (-1.1, 0.3, 0.9), (1.7, -0.6, -1.3)]:
-            assert split(point) == whole(point)
+            want = None
+            for m in sorted(poly._num, key=S._grlex):
+                term = float(poly._num[m])
+                for a, e in m:
+                    term = term * point[a.axis] ** e
+                want = term if want is None else want + term
+            assert poly.compiled()(point) == want
 
 
 class TestIntegratePolynomial:
