@@ -1,4 +1,4 @@
-"""The before/after driver shared by ``bench/quadrature.py`` and ``bench/scalar.py``.
+"""The before/after driver shared by the ``bench/`` scripts that time calls.
 
 A script names its rows, ``name -> (unit, units per call, thunk)``, where the
 unit is a time per node, operation or call ("ns/node", "us/op", "ms"), and

@@ -3,7 +3,7 @@
 Good covers are encoded combinatorially: a Nerve records which finite
 intersections of cover elements are nonempty (and hence contractible).  Its
 Cech complex over Q computes the Betti numbers; ranks are found by exact
-fraction-free elimination, never by floating point.
+sparse elimination, never by floating point.
 
 The Mayer-Vietoris solver propagates rank-nullity bookkeeping through a long
 exact sequence: at every interior slot, dim = rank(incoming) + rank(outgoing).
@@ -28,41 +28,30 @@ if TYPE_CHECKING:
 
 
 def rank_exact(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by fraction-free
-    (Bareiss) elimination over the integers."""
-    if not rows:
-        return 0
-    work = []
-    for row in rows:
-        # ints carry .numerator and .denominator (1) too, so no entry needs a type test
-        denom = math.lcm(*[x.denominator for x in row])
-        work.append([x.numerator * (denom // x.denominator) for x in row])
-    m = len(work)
-    n = len(work[0])
+    """Rank of a matrix with int/Fraction entries, by Gaussian elimination
+    over sparse rows {column: nonzero entry}.
+
+    Each step takes a shortest remaining row as the pivot row and pivots on
+    a +-1 entry where the row has one, so a coboundary (entries 0, +-1)
+    stays in the integers with little fill; a row with no such entry
+    divides exactly with Fraction.
+    """
+    work = [{c: x for c, x in enumerate(row) if x} for row in rows]
     rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pivot = work[row][col]
-        for r in range(row + 1, m):
-            factor = work[r][col]
-            if factor == 0 and prev == 1:
-                continue
-            for c in range(col, n):
-                work[r][c] = (work[r][c] * pivot - factor * work[row][c]) // prev
-        prev = pivot
-        row += 1
+    while work := [row for row in work if row]:
+        pivot = work.pop(min(range(len(work)), key=lambda i: len(work[i])))
+        col = next((c for c, x in pivot.items() if abs(x) == 1), next(iter(pivot)))
+        p = pivot[col]
+        for row in work:
+            if col in row:
+                scale = row[col] * p if abs(p) == 1 else Fraction(row[col], p)
+                for c, x in pivot.items():
+                    v = row.get(c, 0) - scale * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
         rank += 1
-        if row == m:
-            break
     return rank
 
 

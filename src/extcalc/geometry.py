@@ -161,7 +161,9 @@ def _surface_frame(cell: Cell, cols, order=1):
     the area element |r_s x r_t| at the nodes, and for order 2 also the
     exact r_ss, r_st, r_tt, all from one batch of the map; the first node
     with an area element below 1e-12 raises RankDeficientError naming that
-    node."""
+    node, and then the first with an area element that is not finite
+    raises SingularityError (with a finite jet, the frame is finite exactly
+    where the area element is)."""
     import numpy as np
 
     if cell.k != 2 or cell.mapping.n != 2 or cell.ambient != 3:
@@ -175,6 +177,9 @@ def _surface_frame(cell: Cell, cols, order=1):
     node = first_node(cols, area < 1e-12)
     if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
+    node = first_node(cols, ~np.isfinite(area))
+    if node is not None:
+        raise SingularityError(f"area element not finite at node {node}")
     for h in second:
         frame += (h[:, 0], h[:, 1], h[:, 2])
     return frame

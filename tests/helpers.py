@@ -10,6 +10,14 @@ from extcalc import scalar as S
 from extcalc.forms import DifferentialForm
 from extcalc.maps import SmoothMap
 
+# the top simplices of a nerve on 11 vertices with Betti numbers [1, 0, 2, 0];
+# an elimination that overstated a coboundary rank printed [1, -1, 1, 0]
+ELEVEN_VERTEX_SIMPLICES = [
+    [1, 5, 9, 10], [1, 3, 4, 6], [4, 5, 9, 10], [0, 8, 9, 10], [2, 5, 8, 9],
+    [4, 7, 9, 10], [1, 4, 5, 8], [5, 6, 7, 9], [0, 7, 9, 10], [0, 5, 9, 10],
+    [2, 5, 8, 10], [0, 2, 7, 8], [1, 3, 4, 5], [1, 5, 6, 7], [2, 7, 8, 10],
+]
+
 
 def rand_poly(rng, n, degree, terms=3):
     """Random polynomial with small integer coefficients."""

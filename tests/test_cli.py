@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from extcalc.cli import main
-from helpers import python
+from helpers import ELEVEN_VERTEX_SIMPLICES, python
 
 
 def run(capsys, *argv):
@@ -313,6 +313,13 @@ class TestVerbs:
         assert code == 0
         assert out.strip() == "b = [1, 1]"
 
+    def test_cohomology_eleven_vertex_nerve(self, capsys, tmp_path):
+        nerve = write_json(
+            tmp_path / "nerve.json", {"vertices": 11, "simplices": ELEVEN_VERTEX_SIMPLICES}
+        )
+        code, out, _ = run(capsys, "cohomology", "--nerve", nerve)
+        assert code == 0 and out == "b = [1, 0, 2, 0]\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
@@ -385,17 +392,22 @@ class TestHostileInput:
         assert err.rstrip().endswith("not a finite number")
 
     def test_overflowing_quadrature_sum_is_one(self, capsys, tmp_path):
-        # every node value is finite, but the weighted sum is not, and numpy
-        # warns nothing
+        # every node value of x*dx is finite, but the weighted sum is not, and
+        # numpy warns nothing; the area element of a sphere of radius 10^200
+        # overflows at the first node, which is named
         far = write_json(tmp_path / "far.json", {"ambient": 2, "cells": [
             {"box": [[0.0, 1e308]], "map": ["x", "x"]}]})
         big = write_json(tmp_path / "big.json", {"ambient": 3, "cells": [
             {"box": [[0.0, math.pi], [0.0, 2 * math.pi]],
              "map": ["10^200*sin(x)*cos(y)", "10^200*sin(x)*sin(y)", "10^200*cos(x)"]}]})
-        for argv in (["integrate", "--form", "x*dx", "--chain", far],
-                     ["gauss-bonnet", "--surface", big, "--chi", "2"]):
+        for argv, message in (
+            (["integrate", "--form", "x*dx", "--chain", far],
+             "the weighted quadrature sum is not a finite number"),
+            (["gauss-bonnet", "--surface", big, "--chi", "2"],
+             "area element not finite at node (0.016648972382576677, 0.03329794476515335)"),
+        ):
             err = self.fails_cleanly(capsys, 1, *argv)
-            assert err == "error: the weighted quadrature sum is not a finite number\n"
+            assert err == f"error: {message}\n"
 
     def test_loop_with_an_endpoint_not_finite_is_one(self, capsys, tmp_path):
         far = write_json(tmp_path / "far.json", {"ambient": 2, "cells": [

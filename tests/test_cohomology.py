@@ -30,6 +30,8 @@ from extcalc.cohomology import (
 )
 from extcalc.errors import InconsistentSequenceError, ParseError
 
+from helpers import ELEVEN_VERTEX_SIMPLICES
+
 
 class TestRankExact:
     def test_small_matrices(self):
@@ -43,6 +45,13 @@ class TestRankExact:
         big = 10**20
         rows = [[big, 1, 0], [0, big, 1]]
         assert rank_exact(rows) == 2
+
+    def test_row_with_a_zero_pivot_entry_under_a_non_unit_pivot(self):
+        # the last row is the first plus 8 times the second; an elimination
+        # that skips the second row under the pivot 5 (its entry there is 0)
+        # but later divides it by 5 gave rank 4
+        rows = [[5, 8, -16, -4, 0], [0, 0, 2, -1, -4], [-1, 0, 1, 3, -1], [5, 8, 0, -12, -32]]
+        assert rank_exact(rows) == 3
 
 
 class TestCech:
@@ -71,6 +80,9 @@ class TestCech:
         assert betti == [1, 1, 0]
         assert betti[1] == 1  # H^1 over the rationals
         assert betti[2] == 0  # matches the non-orientable top-degree theorem
+
+    def test_eleven_vertex_nerve(self):
+        assert cech_betti(Nerve(11, ELEVEN_VERTEX_SIMPLICES)) == [1, 0, 2, 0]
 
     def test_coboundary_squares_to_zero(self):
         nerves = [cycle_nerve(5), torus_nerve(), klein_nerve()]

@@ -323,11 +323,22 @@ class TestGaussBonnet:
         assert str(info.value) == f"rank-deficient node (0.0, {first_v})"
 
     def test_overflowing_sum_is_refused(self):
-        # a sphere of radius 10^200: its frame overflows to inf and nan
+        # a sphere of radius 10^200: its area element overflows to inf at
+        # every node, so the first node is named
         surface = Surface([sh.sphere_cell(10**200)], chi=2)
         for integral in (gauss_bonnet_check, surface_area, gauss_map_area_pullback):
-            with pytest.raises(SingularityError, match="sum is not a finite number"):
+            with pytest.raises(SingularityError) as info:
                 integral(surface, 8)
+            assert str(info.value) == (
+                "area element not finite at node (0.062376547550168304, 0.12475309510033661)"
+            )
+
+    @pytest.mark.filterwarnings("error")
+    def test_pointwise_frame_of_overflowing_sphere_is_refused(self):
+        cell = sh.sphere_cell(10**200)
+        for helper in (gauss_map, gauss_curvature, lambda c, p: area_form_evaluator(c)(p)):
+            with pytest.raises(SingularityError, match=r"^area element not finite at node \(1\.0, 1\.0\)$"):
+                helper(cell, (1.0, 1.0))
 
     def test_pullback_of_area_matches_curvature_integral(self):
         surface = Surface([sh.ellipsoid_cell(1.25, 1.0, 0.8)], chi=2)
