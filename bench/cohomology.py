@@ -14,7 +14,7 @@ untimed call.  A row reports the time per call:
 * eleven_vertex: ``cech_betti`` of the 11-vertex nerve of
   ``tests/helpers.py`` (Betti numbers [1, 0, 2, 0]);
 * rank_no_unit_12x12: ``rank_exact`` of a fixed random 12 x 12 integer
-  matrix with no entry +-1, so that elimination divides with Fraction.
+  matrix with no entry +-1, so that no pivot is +-1.
 
 A row times the whole call, the building of the coboundary matrices
 included.  The rows do not check their results: a side that computes a

@@ -12,6 +12,8 @@ the same kinds, and maps with quadratic and sin components.  A row applies
 one operation to every input and reports the time per operation:
 
 * parse: ``parse_form`` of the form texts;
+* parse_scalar, parse_map: ``parse_scalar`` of the coefficient texts and
+  ``parse_map`` of the map texts;
 * add, mul: ``a + b`` and ``a * b`` of consecutive coefficients;
 * substitute: a coefficient through the components of a map into its space;
 * differentiate: a coefficient along each of its axes;
@@ -50,14 +52,17 @@ def _rows():
     import extcalc as ec
 
     rng = random.Random(1)
-    scalars, forms, maps = [], [], []
+    scalars, forms, maps, texts = [], [], [], []
     for i in range(COUNT):
         n = rng.randint(2, 3)
         kind = gen.COEFF_KINDS[i % len(gen.COEFF_KINDS)]
-        scalars.append((n, ec.parse_scalar(gen.coefficient(rng, gen.AXES[:n], kind), n)))
+        coeff = gen.coefficient(rng, gen.AXES[:n], kind)
+        scalars.append((n, ec.parse_scalar(coeff, n)))
         text = gen.form(rng, n, rng.randint(0, n - 1), kinds=(kind,), max_terms=2)
         forms.append((n, text, ec.parse_form(text, n)))
-        maps.append(ec.parse_map(gen.smooth_map(rng, rng.randint(1, 3), n)))
+        chart = gen.smooth_map(rng, rng.randint(1, 3), n)
+        maps.append(ec.parse_map(chart))
+        texts.append((n, coeff, chart))
     pairs = list(zip(scalars, scalars[1:] + scalars[:1]))
     derivatives = [(s, axis) for n, s in scalars for axis in range(n)]
     nests = {depth: ec.parse_form("sin(" * depth + "x" + ")" * depth + "*dy", 2)
@@ -69,6 +74,8 @@ def _rows():
 
     return {
         "parse": ("us/op", COUNT, lambda: [ec.parse_form(t, n) for n, t, _ in forms]),
+        "parse_scalar": ("us/op", COUNT, lambda: [ec.parse_scalar(c, n) for n, c, _ in texts]),
+        "parse_map": ("us/op", COUNT, lambda: [ec.parse_map(g) for _, _, g in texts]),
         "add": ("us/op", COUNT, lambda: [a + b for (_, a), (_, b) in pairs]),
         "mul": ("us/op", COUNT, lambda: [a * b for (_, a), (_, b) in pairs]),
         "substitute": ("us/op", COUNT, lambda: [

@@ -27,30 +27,52 @@ if TYPE_CHECKING:
 # Exact linear algebra
 
 
+def _integral(row):
+    """row scaled by the lcm of its denominators, so that its entries are ints."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+
+
 def rank_exact(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by Gaussian elimination
-    over sparse rows {column: nonzero entry}.
+    """Rank of a matrix with int/Fraction entries, by fraction-free Gaussian
+    elimination over sparse rows {column: nonzero entry}.
 
     Each step takes a shortest remaining row as the pivot row and pivots on
-    a +-1 entry where the row has one, so a coboundary (entries 0, +-1)
-    stays in the integers with little fill; a row with no such entry
-    divides exactly with Fraction.
+    a +-1 entry where the row has one, so a coboundary (entries 0, +-1) stays
+    in the integers with little fill.  At the first pivot row with no such
+    entry the rows are scaled to clear their denominators; from then on, for
+    a pivot p other than +-1, a row r becomes p*r - r[col]*pivot divided by
+    the gcd of its entries, so that they stay small integers.
     """
     work = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    rank = 0
+    rank, integral = 0, False
     while work := [row for row in work if row]:
         pivot = work.pop(min(range(len(work)), key=lambda i: len(work[i])))
-        col = next((c for c, x in pivot.items() if abs(x) == 1), next(iter(pivot)))
+        col = next((c for c, x in pivot.items() if abs(x) == 1), None)
+        unit = col is not None
+        if not unit:
+            if not integral:
+                work, pivot, integral = [_integral(r) for r in work], _integral(pivot), True
+            col = next(iter(pivot))
         p = pivot[col]
         for row in work:
             if col in row:
-                scale = row[col] * p if abs(p) == 1 else Fraction(row[col], p)
+                if unit:
+                    b = row[col] * p
+                else:
+                    b = row[col]
+                    for c in row:
+                        row[c] *= p
                 for c, x in pivot.items():
-                    v = row.get(c, 0) - scale * x
+                    v = row.get(c, 0) - b * x
                     if v:
                         row[c] = v
                     else:
                         del row[c]
+                if not unit:  # dividing out the content keeps the entries small
+                    g = math.gcd(*row.values())
+                    for c in row:
+                        row[c] //= g
         rank += 1
     return rank
 

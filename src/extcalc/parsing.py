@@ -14,6 +14,14 @@ Form atoms dx, dy, dz, dt and dx1..dx9 are only legal when parsing forms;
 
 Map literal: ``map(u, v) = expr; expr; ...`` binds the named parameters to
 axes 0, 1, ... in order.
+
+One ``findall`` splits a text into tokens, and one operator-precedence loop
+over an explicit stack (Pratt, POPL 1973) builds its value without recursion.
+A scalar is held as a loose value of ``scalar.py``: numbers stay ints and
+Fractions, and polynomials term dicts, until a quotient, a negative power or a
+function needs a ScalarExpr.  A form symbol is a DifferentialForm, and forms
+combine by its arithmetic.  The loose operations take the steps of ScalarExpr
+arithmetic, so the value is the same, down to the order of its terms.
 """
 
 from __future__ import annotations
@@ -24,243 +32,187 @@ from fractions import Fraction
 from .errors import DegreeError, ParseError, json_list
 from .forms import DifferentialForm
 from .maps import SmoothMap
-from .scalar import ScalarExpr, as_expr, cos, exp, ln, sin, sqrt, variable
+from .scalar import (ZERO, ScalarExpr, cos, exp, ln, loose, loose_add, loose_constant, loose_div,
+                     loose_mul, loose_neg, loose_pow, loose_variable, sin, sqrt, tight)
 
 _FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
 
-_SCALAR_NAMES = {"x": 0, "y": 1, "z": 2, "t": 3}
-_SCALAR_NAMES.update({f"x{i}": i - 1 for i in range(1, 10)})
+_SCALAR_NAMES = {"x": 0, "y": 1, "z": 2, "t": 3, **{f"x{i}": i - 1 for i in range(1, 10)}}
+_FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3, **{f"dx{i}": i - 1 for i in range(1, 10)}}
 
-_FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3}
-_FORM_NAMES.update({f"dx{i}": i - 1 for i in range(1, 10)})
-
-# Each level of parentheses or function call costs the recursive-descent
-# parser four stack frames; deeper input is refused instead of overflowing.
+# at most this many parentheses and function calls open at once, on the stack
 _MAX_DEPTH = 200
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<wedge>/\\)"
-    r"|(?P<op>[-+*/^(),;=]))"
-)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = rf"\d+(?:\.\d+)?|{_NAME}|/\\|[-+*/^(),;=]"
+_TOKENS_RE = re.compile(_TOKEN + r"|\S")  # a character that starts no token stands alone
+_SPOTS_RE = re.compile(rf"\s*(?:({_TOKEN})|\S)")
+
+# binding powers: '+' and '-' 2, a leading '-' 3, '*', '/' and '/\' 4; an
+# open group is 0, and any other token (1) closes the innermost group
+_PREC = {"+": 2, "-": 2, "*": 4, "/": 4, "/\\": 4}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup is not None:
-            kind = m.lastgroup
-            tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Fault(Exception):
+    """A parse error at a token index, which ``_parse`` turns into a position."""
 
 
-class _Parser:
-    def __init__(self, text, n, allow_forms):
-        self.text = text
-        self.n = n
-        self.allow_forms = allow_forms
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-        self.names = dict(_SCALAR_NAMES)
+def _spots(text):
+    """Where each token starts, then the end of the text; ParseError at a character
+    that starts no token, placed where the whitespace before it begins."""
+    spots = []
+    for m in _SPOTS_RE.finditer(text):
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {text[m.end() - 1]!r}", m.start())
+        spots.append(m.start(1))
+    return spots + [len(text)]
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _neg(v):
+    return -v if type(v) is DifferentialForm else loose_neg(v)
 
-    def expect_op(self, op):
-        kind, value, pos = self.next()
-        if kind not in ("op", "wedge") or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}", pos)
 
-    # values are ScalarExpr or DifferentialForm ---------------------------------
+def _form(v, n):
+    return v if type(v) is DifferentialForm else DifferentialForm.from_scalar(n, tight(v))
 
-    def _coerce_form(self, v):
-        if isinstance(v, DifferentialForm):
-            return v
-        return DifferentialForm.from_scalar(self.n, v)
 
-    def _add(self, a, b, sign, pos):
-        if isinstance(a, DifferentialForm) or isinstance(b, DifferentialForm):
-            a = self._coerce_form(a)
-            b = self._coerce_form(b)
-            try:
-                return a + b if sign > 0 else a - b
-            except DegreeError as err:
-                raise ParseError(str(err), pos) from err
-        return a + b if sign > 0 else a - b
+def _binary(op, a, b, i, n):
+    """a op b for the operator token op at index i, by the arithmetic of loose
+    values and of DifferentialForm."""
+    fa, fb = type(a) is DifferentialForm, type(b) is DifferentialForm
+    if op == "/\\":
+        return _form(a, n).wedge(_form(b, n))
+    if op in "+-":
+        b = _neg(b) if op == "-" else b
+        if not (fa or fb):
+            return loose_add(a, b)
+        try:
+            return _form(a, n) + _form(b, n)
+        except DegreeError as err:
+            raise _Fault(str(err), i) from err
+    if op == "*" and fa and fb:
+        if a.k and b.k:
+            raise _Fault("use /\\ to multiply forms of positive degree", i)
+        a, b = (b, a.terms.get((), ZERO)) if a.k == 0 else (a, b.terms.get((), ZERO))
+    elif op == "*" and fb:
+        a, b = b, a
+    elif op == "/":
+        if fb and b.k:
+            raise _Fault("cannot divide by a form of positive degree", i)
+        if not (b := loose(b.terms.get((), ZERO)) if fb else b):
+            raise _Fault("division by zero", i)
+    if type(a) is DifferentialForm:
+        return a * tight(b) if op == "*" else a / tight(b)
+    return loose_mul(a, b) if op == "*" else loose_div(a, b)
 
-    def _mul(self, a, b, pos):
-        a_form = isinstance(a, DifferentialForm)
-        b_form = isinstance(b, DifferentialForm)
-        if a_form and b_form:
-            if a.k == 0:
-                return b * a.terms.get((), as_expr(0))
-            if b.k == 0:
-                return a * b.terms.get((), as_expr(0))
-            raise ParseError("use /\\ to multiply forms of positive degree", pos)
-        return a * b
 
-    def _div(self, a, b, pos):
-        if isinstance(b, DifferentialForm):
-            if b.k == 0:
-                b = b.terms.get((), as_expr(0))
-            else:
-                raise ParseError("cannot divide by a form of positive degree", pos)
-        if isinstance(b, ScalarExpr) and b.is_zero():
-            raise ParseError("division by zero", pos)
-        return a / b
+def _leaf(tok, i, n, names, forms):
+    """The value of a number, variable or form symbol token."""
+    if tok[:1].isdecimal():
+        return loose_constant(Fraction(tok)) if "." in tok else int(tok)
+    if tok in _FORM_NAMES:
+        if not forms:
+            raise _Fault(f"form symbol {tok!r} is not a scalar token", i)
+        axis = _FORM_NAMES[tok]
+        if axis >= n:
+            raise _Fault(f"{tok!r} refers to axis {axis} outside dimension {n}", i)
+        return DifferentialForm.basis(n, axis)
+    if not tok.isidentifier():
+        raise _Fault(f"unexpected token {tok!r}", i)
+    if (axis := names.get(tok)) is None:
+        raise _Fault(f"unknown variable {tok!r}", i)
+    if axis >= n:
+        raise _Fault(f"variable {tok!r} refers to axis {axis} outside dimension {n}", i)
+    return loose_variable(axis)
 
-    def expr(self):
-        kind, value, pos = self.peek()
-        # depth counts the enclosing parentheses and function calls
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
-        self.depth += 1
-        sign = 1
-        if kind == "op" and value == "-":
-            self.next()
-            sign = -1
-        left = self.term()
-        if sign < 0:
-            left = -left
+
+def _read(toks, n, names, forms):
+    """The value of the tokens.  At an operand: a leading '-', a group or a leaf;
+    after one: a '^', the operators that bind at least as tightly as the next
+    token, then that token is pushed or closes the innermost group."""
+    ops = [(0, None, 0)]  # (binding power, operator or group, token index)
+    lefts, i, depth, start = [], 0, 0, True  # lefts: the left operand of each operator
+    while True:
+        tok = toks[i]
+        if start and tok == "-":
+            ops.append((3, "neg", i))
+            i += 1
+            tok = toks[i]
+        if tok == "(" or tok in _FUNCS:
+            if tok != "(" and toks[i + 1] != "(":
+                raise _Fault(f"expected '(', found {toks[i + 1]!r}", i + 1)
+            ops.append((0, tok, i))
+            i, depth, start = i + 1 + (tok != "("), depth + 1, True
+            if depth > _MAX_DEPTH:
+                raise _Fault(f"nesting deeper than {_MAX_DEPTH} levels", i)
+            continue
+        value, i, start = _leaf(tok, i, n, names, forms), i + 1, False
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                right = self.term()
-                left = self._add(left, right, 1 if value == "+" else -1, pos)
-            else:
-                self.depth -= 1
-                return left
-
-    def term(self):
-        left = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "wedge":
-                self.next()
-                right = self.factor()
-                left = self._coerce_form(left).wedge(self._coerce_form(right))
-            elif kind == "op" and value == "*":
-                self.next()
-                left = self._mul(left, self.factor(), pos)
-            elif kind == "op" and value == "/":
-                self.next()
-                left = self._div(left, self.factor(), pos)
-            else:
-                return left
-
-    def factor(self):
-        base = self.base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            k = self.integer()
-            if isinstance(base, DifferentialForm):
-                raise ParseError("^ applies to scalars, not forms", pos)
-            try:
-                return base ** k
-            except Exception as err:  # zero to negative power
-                raise ParseError(str(err), pos) from err
-        return base
-
-    def integer(self):
-        kind, value, pos = self.next()
-        neg = False
-        if kind == "op" and value == "-":
-            neg = True
-            kind, value, pos = self.next()
-        if kind != "number" or "." in value:
-            raise ParseError("expected an integer exponent", pos)
-        return -int(value) if neg else int(value)
-
-    def base(self):
-        kind, value, pos = self.next()
-        if kind == "number":
-            return as_expr(Fraction(value) if "." in value else int(value))
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "ident":
-            if value in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                if isinstance(arg, DifferentialForm):
-                    raise ParseError(f"{value}() takes a scalar argument", pos)
-                self.expect_op(")")
+            if toks[i] == "^":
+                j = i + 1 + (toks[i + 1] == "-")
+                if not toks[j][:1].isdecimal() or "." in toks[j]:
+                    raise _Fault("expected an integer exponent", j)
+                if type(value) is DifferentialForm:
+                    raise _Fault("^ applies to scalars, not forms", i)
                 try:
-                    return _FUNCS[value](arg)
+                    value = loose_pow(value, -int(toks[j]) if j > i + 1 else int(toks[j]))
+                except Exception as err:  # zero to a negative power
+                    raise _Fault(str(err), i) from err
+                i = j + 1
+            tok = toks[i]
+            prec = _PREC.get(tok, 1)
+            while ops[-1][0] >= prec:
+                _, op, j = ops.pop()
+                value = _neg(value) if op == "neg" else _binary(op, lefts.pop(), value, j, n)
+            if prec > 1:
+                lefts.append(value)
+                ops.append((prec, tok, i))
+                i += 1
+                break
+            _, group, j = ops.pop()
+            if group is None:
+                if tok:
+                    raise _Fault(f"unexpected trailing input {tok!r}", i)
+                if type(value) is DifferentialForm and not forms:  # only a wedge makes one
+                    raise _Fault("/\\ wedges forms, not scalars", toks.index("/\\"))
+                return value
+            if group != "(" and type(value) is DifferentialForm:
+                raise _Fault(f"{group}() takes a scalar argument", j)
+            if tok != ")":
+                raise _Fault(f"expected ')', found {tok!r}", i)
+            if group != "(":
+                try:
+                    value = loose(_FUNCS[group](tight(value)))
                 except Exception as err:
-                    raise ParseError(str(err), pos) from err
-            if value in _FORM_NAMES:
-                if not self.allow_forms:
-                    raise ParseError(
-                        f"form symbol {value!r} is not a scalar token", pos
-                    )
-                axis = _FORM_NAMES[value]
-                if axis >= self.n:
-                    raise ParseError(
-                        f"{value!r} refers to axis {axis} outside dimension {self.n}",
-                        pos,
-                    )
-                return DifferentialForm.basis(self.n, axis)
-            axis = self.names.get(value)
-            if axis is None:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            if axis >= self.n:
-                raise ParseError(
-                    f"variable {value!r} refers to axis {axis} outside "
-                    f"dimension {self.n}",
-                    pos,
-                )
-            return variable(axis)
-        raise ParseError(f"unexpected token {value!r}", pos)
+                    raise _Fault(str(err), j) from err
+            i, depth = i + 1, depth - 1
 
-    def finish(self, value):
-        kind, tok, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {tok!r}", pos)
-        return value
+
+def _parse(text, n, names, forms):
+    """The text as a ScalarExpr, or a DifferentialForm where it holds a form."""
+    toks = _TOKENS_RE.findall(text) + [""]
+    try:
+        value = _read(toks, n, names, forms)
+    except _Fault as fault:
+        raise ParseError(fault.args[0], _spots(text)[fault.args[1]]) from fault.__cause__
+    except Exception:
+        _spots(text)  # a character that starts no token is reported first
+        raise
+    return value if type(value) is DifferentialForm else tight(value)
 
 
 def parse_scalar(text: str, n: int) -> ScalarExpr:
     """Parse a scalar expression in ambient dimension n."""
-    p = _Parser(text, n, allow_forms=False)
-    value = p.finish(p.expr())
-    assert isinstance(value, ScalarExpr)
-    return value
+    return _parse(text, n, _SCALAR_NAMES, False)
 
 
 def parse_form(text: str, n: int) -> DifferentialForm:
     """Parse a differential-form literal; a bare scalar becomes a 0-form."""
-    p = _Parser(text, n, allow_forms=True)
-    value = p.finish(p.expr())
-    if isinstance(value, ScalarExpr):
-        return DifferentialForm.from_scalar(n, value)
-    return value
+    value = _parse(text, n, _SCALAR_NAMES, True)
+    return DifferentialForm.from_scalar(n, value) if isinstance(value, ScalarExpr) else value
 
 
-_MAP_HEAD_RE = re.compile(
-    r"^\s*map\s*\(\s*([A-Za-z_][A-Za-z0-9_]*"
-    r"(?:\s*,\s*[A-Za-z_][A-Za-z0-9_]*)*)\s*\)\s*=\s*(.*)$",
-    re.S,
-)
+_MAP_HEAD_RE = re.compile(rf"^\s*map\s*\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)\s*=\s*(.*)$", re.S)
 
 
 def parse_map(text: str) -> SmoothMap:
@@ -268,22 +220,14 @@ def parse_map(text: str) -> SmoothMap:
     m = _MAP_HEAD_RE.match(text)
     if m is None:
         raise ParseError("expected 'map(params) = expr; expr; ...'", 0)
-    params = [p.strip() for p in m.group(1).split(",")]
-    if len(set(params)) != len(params):
+    names = {p.strip(): i for i, p in enumerate(m.group(1).split(","))}
+    if len(names) != m.group(1).count(",") + 1:
         raise ParseError("duplicate parameter name", 0)
-    body = m.group(2)
-    n = len(params)
-    comps = []
-    for piece in body.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        p = _Parser(piece, n, allow_forms=False)
-        p.names = {name: i for i, name in enumerate(params)}
-        comps.append(p.finish(p.expr()))
+    comps = [_parse(piece.strip(), len(names), names, False)
+             for piece in m.group(2).split(";") if piece.strip()]
     if not comps:
         raise ParseError("map needs at least one component", 0)
-    return SmoothMap(n, len(comps), comps)
+    return SmoothMap(len(names), len(comps), comps)
 
 
 def parse_map_components(components, k: int) -> SmoothMap:

@@ -655,6 +655,76 @@ def constant(c) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
+# Loose values
+#
+# A parser combines numbers and polynomials before it knows whether a quotient
+# or a function follows, so it holds a value loosely: a normalized int or
+# Fraction, a polynomial term dict, or a ScalarExpr with a denominator.  Each
+# loose operation takes the step that ScalarExpr arithmetic takes on the same
+# operands, through the same _p_* calls, so its result is the ScalarExpr result
+# down to the order of its terms; while both operands are polynomials it
+# builds no ScalarExpr and calls no _make.
+
+
+def loose(e: ScalarExpr):
+    """e as a loose value: its numerator where its denominator is 1."""
+    return e._num if _p_is_const(e._den) else e
+
+
+def tight(v) -> ScalarExpr:
+    """A loose value as a ScalarExpr."""
+    if type(v) is ScalarExpr:
+        return v
+    return ScalarExpr(v if type(v) is dict else _p_const(v), _p_one())
+
+
+def loose_constant(c):
+    return _coerce_fraction(c)
+
+
+def loose_variable(axis: int):
+    return {((_var_atom(axis), 1),): 1}
+
+
+def _loose_poly(v):
+    return v if type(v) is dict else _p_const(v)
+
+
+def loose_add(a, b):
+    if type(a) is ScalarExpr or type(b) is ScalarExpr:
+        return loose(tight(a) + tight(b))
+    if type(a) is dict or type(b) is dict:
+        return _p_add(_loose_poly(a), _loose_poly(b))
+    return _norm(a + b)
+
+
+def loose_mul(a, b):
+    if type(a) is ScalarExpr or type(b) is ScalarExpr:
+        return loose(tight(a) * tight(b))
+    if type(a) is dict or type(b) is dict:
+        return _p_mul(_loose_poly(a), _loose_poly(b))
+    return _norm(a * b)
+
+
+def loose_div(a, b):
+    """a/b for a nonzero b."""
+    if type(a) is ScalarExpr or type(b) is ScalarExpr or type(b) is dict:
+        return loose(tight(a) / tight(b))
+    return _p_scale(a, _div(1, b)) if type(a) is dict else _norm(Fraction(a, b))
+
+
+def loose_neg(v):
+    return _p_neg(v) if type(v) is dict else -v
+
+
+def loose_pow(v, k: int):
+    """v**k; SingularityError for zero to a negative power."""
+    if k < 0 or type(v) is ScalarExpr:
+        return loose(tight(v) ** k)
+    return _p_pow(_loose_poly(v), k)
+
+
+# ---------------------------------------------------------------------------
 # Elementary functions
 
 

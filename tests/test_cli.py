@@ -356,6 +356,10 @@ class TestHostileInput:
         self.fails_cleanly(capsys, 1, "eval", "--form", "exp(x)", "--point", "1000", "--dim", "1")
         self.fails_cleanly(capsys, 1, "eval", "--form", "x^2", "--point", "1e200", "--dim", "1")
 
+    def test_wedge_in_a_map_is_two(self, capsys):
+        err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u) = u/\\u", "--form", "dx")
+        assert err == "error: /\\ wedges forms, not scalars (at position 1)\n"
+
     def test_non_finite_point_is_two(self, capsys):
         self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "nan", "--dim", "1", "--json")
         self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "inf", "--dim", "1")

@@ -411,6 +411,42 @@ class TestNormalizationFuzz:
             assert parse_scalar(S.format_expr(expr, n), n) == expr
 
 
+class TestLooseValues:
+    """A parser's loose arithmetic gives what ScalarExpr arithmetic gives, down
+    to the order of the terms of each numerator and denominator."""
+
+    @staticmethod
+    def _terms(e):
+        return [[(m, type(c), c) for m, c in p.items()] for p in (e._num, e._den)]
+
+    @staticmethod
+    def _operand(rng, n):
+        pick = rng.random()
+        if pick < 0.2:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            return S.constant(c), S.loose_constant(c)
+        e = rand_poly(rng, n, 2) if pick < 0.6 else rand_elementary(rng, n)
+        return e, S.loose(e)
+
+    def test_operations_match_scalar_arithmetic(self):
+        rng = make_rng(997)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            (a, la), (b, lb) = self._operand(rng, n), self._operand(rng, n)
+            k = rng.randint(-2, 3)
+            cases = [(a + b, S.loose_add(la, lb)), (a * b, S.loose_mul(la, lb)),
+                     (-a, S.loose_neg(la)), (S.sin(a), S.loose(S.sin(S.tight(la))))]
+            if not b.is_zero():
+                cases.append((a / b, S.loose_div(la, lb)))
+            if k >= 0 or not a.is_zero():
+                cases.append((a**k, S.loose_pow(la, k)))
+            for want, got in cases:
+                assert self._terms(S.tight(got)) == self._terms(want)
+
+    def test_variable(self):
+        assert self._terms(S.tight(S.loose_variable(2))) == self._terms(z)
+
+
 def test_atom_cache_lets_unused_atoms_go():
     gc.collect()
     before = len(S._ATOM_CACHE)
