@@ -8,7 +8,9 @@ PYTHONPATH pointing at that side's ``src``; the script then writes
 ``BENCH_<topic>.json``.  A measuring process (``--measure``) builds every
 row's inputs, calls the row once untimed, so code generation and caches are
 warm, then times ``repeat`` calls with ``time.perf_counter``.  For every row
-and side the output holds the number of timed calls and their min and median.
+and side the output holds the number of timed calls and their min and median,
+and every row the before/after ratios of both: on a shared host the medians
+wander with the load, so a ratio by min may be the one that resolves.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def compare(script, before, after, rounds, repeat):
             ts = times[side][name]
             entry[side] = {"repeat": len(ts), "min": round(min(ts), 4),
                            "median": round(statistics.median(ts), 4)}
-        ratio = entry["before"]["median"] / entry["after"]["median"]
-        entry["speedup_median"] = round(ratio, 2)
+        for stat in ("min", "median"):
+            entry[f"speedup_{stat}"] = round(entry["before"][stat] / entry["after"][stat], 2)
         rows[name] = entry
     return {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
@@ -99,4 +101,4 @@ def main(doc, script, topic, rows, rounds, repeat, argv=None):
     for name, row in result["rows"].items():
         before, after = row["before"]["median"], row["after"]["median"]
         print(f"{name:28s} {before:12.4f} -> {after:10.4f} {row['unit']:8s} "
-              f"x{row['speedup_median']}")
+              f"x{row['speedup_median']} (by min x{row['speedup_min']})")

@@ -1,4 +1,4 @@
-"""Before/after timings of quadrature and the loop guard, written as BENCH_tape.json.
+"""Before/after timings of quadrature and the loop guard, written as BENCH_chain.json.
 
     python bench/quadrature.py --before OLD/src
 
@@ -11,22 +11,26 @@ include what the integration path builds from the form on every call: the
 symbolic pullback on the "before" side of BENCH_integrate.json, a compiled
 batch of the form's coefficients on its "after" side and on both sides of
 BENCH_guard.json, and nothing on the "after" side of BENCH_grid.json and on
-either side of BENCH_tape.json, where a form keeps its batches
-(``stokes_half_ball`` builds d of the form, and so a batch of its
+either side of BENCH_tape.json and BENCH_chain.json, where a form keeps its
+batches (``stokes_half_ball`` builds d of the form, and so a batch of its
 coefficients, on every call).  A ``stokes_fresh`` row runs 20 checks on
 fresh integrands and maps, so it includes all symbolic work and the
 building of every batch (Python source generated and compiled on the
 "before" side of BENCH_tape.json, a tape on its "after" side), and reports
-the time per check.  For every row and side the output holds the number of
-timed calls and their min and median.  The ``linking_*`` and
+the time per check.  A ``stokes_reused`` row runs the same 20 checks on
+forms, their d, cells and boundaries built before the timing, so it times
+only the numeric cost of the cell integral and of its boundary's faces.
+For every row and side the output holds the number of timed calls, their
+min and median, and the before/after ratio of each.  The ``linking_*`` and
 ``winding_q32`` rows include the distance guard on 1024 samples per loop;
 ``linking_far_q64`` is a pair far apart and ``linking_touching_q32`` a pair
 the guard rejects, the case where it compares the most points.
-BENCH_guard.json, BENCH_integrate.json, BENCH_quadrature.json and
-BENCH_grid.json are earlier records of the same script, from when the guard
-began to prune with bounding boxes, when the integral stopped building the
-symbolic pullback, when it replaced the per-node loops and when it moved to
-the open grid.
+BENCH_guard.json, BENCH_integrate.json, BENCH_quadrature.json,
+BENCH_grid.json and BENCH_tape.json are earlier records of the same script,
+from when the guard began to prune with bounding boxes, when the integral
+stopped building the symbolic pullback, when it replaced the per-node
+loops, when it moved to the open grid and when the evaluation tape replaced
+generated source.
 """
 
 from __future__ import annotations
@@ -126,8 +130,19 @@ def _rows():
                 cell = Cell(((0.0, 1.0),) * k, ec.parse_map(chart))
                 ec.stokes_check(ec.parse_form(form, k), cell, q)
         rows[f"stokes_fresh_q{q}"] = ("ms", len(inputs), stokes)
+    reused = []
+    for k, form, chart in inputs:
+        cell = Cell(((0.0, 1.0),) * k, ec.parse_map(chart))
+        form = ec.parse_form(form, k)
+        reused.append((form.d(), cell, form, ec.boundary(cell)))
+    for q in (5, 10):
+        def stokes_reused(q=q):
+            for d_form, cell, form, faces in reused:
+                ec.integrate(d_form, cell, q)
+                ec.integrate(form, faces, q)
+        rows[f"stokes_reused_q{q}"] = ("ms", len(reused), stokes_reused)
     return rows
 
 
 if __name__ == "__main__":
-    beforeafter.main(__doc__, __file__, "tape", _rows, ROUNDS, REPEAT)
+    beforeafter.main(__doc__, __file__, "chain", _rows, ROUNDS, REPEAT)

@@ -26,7 +26,7 @@ from .errors import (
     SingularityError,
 )
 from .forms import DifferentialForm, angular_form, solid_angle_form
-from .integrate import _finite_sum, boundary, box_rule, integrate, integrate_cell
+from .integrate import _finite_sum, box_rule, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
 from .scalar import first_node, variable
 
@@ -224,23 +224,6 @@ class Surface:
         for c in self.cells:
             if c.k != 2 or c.mapping.n != 2 or c.ambient != 3:
                 raise DimensionMismatch("surface cells are unpinned 2-cells in R^3")
-
-    def validate_closed(self, spec=16):
-        """Integrate a fixed 1-form over the total boundary; near zero for a
-        closed surface (seams cancel), and NotClosedError above 1e-6."""
-        x, y, z = variable(0), variable(1), variable(2)
-        # includes a circulation term (x dy) so open equatorial seams register
-        probe = DifferentialForm(
-            3, 1, {(0,): y * z + x, (1,): x * z - y * y + x, (2,): x * y * z}
-        )
-        total = 0.0
-        for c in self.cells:
-            total += integrate(probe, boundary(c), spec)
-        if abs(total) > 1e-6:
-            raise NotClosedError(
-                f"surface seams do not cancel: probe boundary integral {total:.3e}"
-            )
-        return total
 
 
 def _surface_integral(surface: Surface, spec, density) -> float:

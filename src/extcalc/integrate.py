@@ -15,21 +15,29 @@ of one parameter once per node of its axis, not once per node of the cell
 A face is its parent cell with one parameter pinned, so it is integrated
 through the parent's map with the pinned column of the Jacobian left out;
 a derivative along the pinned axis, even a singular one, never reaches the
-integrand.  The grid is evaluated in blocks of rows along the first free
-axis, about _BLOCK nodes each, into one array of all the node values; that
-array is summed by one ``np.sum`` in lexicographic order and chain terms in
-list order, so results are bit-reproducible.  Every node value comes from
-the column evaluators, whose guards give nan where the scalar evaluator
-would fail.  No integral comes back inf or nan: the first node, in
-lexicographic order, where the integrand or the map's value is not finite
-raises, and the scalar evaluators run at that one node to name the fault;
-a weighted sum of finite node values that overflows raises too.
+integrand.  ``integrate`` takes each run of chain terms through one map,
+such as the faces of a boundary, as one group (a lone cell is a group of
+one): its nodes are one open grid with a leading cell dimension, laid out
+once per (boxes, q) and cached, over which the map's and the form's tapes
+run once.  A group holds about _BLOCK nodes, or one cell, evaluated in
+blocks of rows of its first free axis.  Then, cell by cell, in chain
+order, the first node in lexicographic order where the integrand or the
+map's value is not finite raises, and the scalar evaluators run at that one
+node to name the fault; or the cell's values are summed by their own
+``np.sum``, and a weighted sum of finite values that overflows raises.
+Nodes are summed in lexicographic order and chain terms in list order, so
+results are bit-reproducible and do not depend on the grouping.  Every node
+value comes from the column evaluators, whose guards give nan where the
+scalar evaluator would fail, and no integral comes back inf or nan.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import threading
 from functools import lru_cache
+from itertools import groupby
 
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
@@ -79,89 +87,123 @@ def box_rule(box, q: int):
     return grid, np.atleast_1d(weights)
 
 
-# Nodes evaluated at a time, in whole rows of the first free axis: a whole
-# fine 3-cell (q=48 has 110592 nodes) runs slower than blocks that stay in
-# cache, and takes more memory.
+# Nodes evaluated at a time: a group holds about this many, or one cell,
+# evaluated in blocks of whole rows of its first free axis, at least _BLOCK
+# nodes a block; a whole fine 3-cell (q=48 has 110592 nodes) runs slower
+# than blocks that stay in cache, and takes more memory.
 _BLOCK = 4096
 
+# (q, marshal.dumps(boxes)) -> layout, least recently used first; the bytes
+# tell a value pinned at -0.0, named with its sign in a fault, from 0.0
+_LAYOUTS = {}
+_LAYOUT_COUNT, _LAYOUT_BYTES = 64, 1 << 22
+_LAYOUT_LOCK = threading.Lock()
 
-def _cell_integral(form: DifferentialForm, cell: Cell, q: int) -> float:
-    """Integral of a k-form over an oriented k-cell.  At the first node
-    where the integrand or the map's value is not finite, the scalar
-    evaluators run once: their SingularityError is the cause of the one
-    raised, an OverflowError passes through, and if they raise nothing, the
-    value is named not a finite number."""
+
+def _layout(boxes, q: int):
+    """The arrays of ``box_rule`` for each box, stacked along a leading
+    cell dimension, read-only: an open grid whose entry has size q in a
+    dimension where it is free in some cell (so one cell keeps its grid,
+    with a leading 1), and the weights.  The oldest layouts kept go while
+    there would be more than _LAYOUT_COUNT or _LAYOUT_BYTES of them."""
     import numpy as np
 
-    if form.k != cell.k:
-        raise DegreeError(
-            f"degree-{form.k} form cannot be integrated over a {cell.k}-cell"
-        )
-    if form.n != cell.ambient:
-        raise DimensionMismatch(
-            f"form on R^{form.n} vs cell in R^{cell.ambient}"
-        )
-    g = cell.mapping
+    key = (q, marshal.dumps(boxes))
+    with _LAYOUT_LOCK:
+        layout = _LAYOUTS.pop(key, None)
+        if layout is None:
+            rules = [grid + [w] for grid, w in (box_rule(box, q) for box in boxes)]
+            layout = [np.stack(np.broadcast_arrays(*parts)) for parts in zip(*rules)]
+            for a in layout:
+                a.flags.writeable = False
+            held = [sum(a.nbytes for a in arrays) for arrays in [layout, *_LAYOUTS.values()]]
+            while _LAYOUTS and (len(_LAYOUTS) >= _LAYOUT_COUNT or sum(held) > _LAYOUT_BYTES):
+                del _LAYOUTS[next(iter(_LAYOUTS))], held[1]
+        _LAYOUTS[key] = layout
+    return layout[:-1], layout[-1]
+
+
+def _cells(a, cut):
+    """a[cut] for an array over the layout's dimensions, or a itself where
+    it is a number or broadcast (size 1) along the cells."""
+    return a if isinstance(a, float) or len(a) == 1 else a[cut]
+
+
+def _integrals(form: DifferentialForm, cells, q: int) -> list:
+    """Integrals of a k-form over oriented k-cells through one map, in
+    order.  At the first node of a cell where the integrand or the map's
+    value is not finite, the scalar evaluators run once: their
+    SingularityError is the cause of the one raised, an OverflowError
+    passes through, and if they raise nothing, the value is named not a
+    finite number."""
+    import numpy as np
+
+    g = cells[0].mapping
     m, n = g.m, g.n
-    free = cell.free_axes
     jac = g.jacobian()
     zero = [[e.is_zero() for e in row] for row in jac]
-    # the terms whose minor is not identically zero
-    shape = _minors(lambda i, j: None if zero[i][j] else 1, list(form.terms), free)
-    terms = tuple(idx for idx, s in zip(form.terms, shape) if s is not None)
+    # per set of free axes, the terms whose minor is not identically zero
+    needs = {}
+    for free in {c.free_axes for c in cells}:
+        shape = _minors(lambda i, j: None if zero[i][j] else 1, list(form.terms), free)
+        needs[free] = tuple(idx for idx, s in zip(form.terms, shape) if s is not None)
+    terms = tuple(idx for idx in form.terms if any(idx in t for t in needs.values()))
     if not terms:
-        return 0.0
-    coeffs = form.batch(terms)
-
-    def integrand(comps, entry, evaluate):
-        """sum_I a_I(g) det(dg_I/du) from the component values and the
-        Jacobian entries entry(i, j), None where identically zero."""
-        minors = _minors(entry, terms, free)
-        return sum(a * minor for a, minor in zip(evaluate(comps), minors))
-
-    def at_node(p):
-        """The integrand at one node from the scalar evaluators, run for
-        the error they raise: the components from g(p), and each Jacobian
-        entry of a free column from its own evaluator, so that a derivative
-        along a pinned axis is never evaluated."""
-        return integrand(
-            g(p), lambda i, j: None if zero[i][j] else jac[i][j].compiled()(p), coeffs.at
-        )
-
-    batch = g.batch()
-    grid, weights = box_rule(cell.box, q)
+        return [0.0] * len(cells)
+    # the cells in a row with one set of free axes share their minors
+    runs = [(free, [i for i, _ in run])
+            for free, run in groupby(enumerate(cells), key=lambda t: t[1].free_axes)]
+    batch, coeffs = g.batch(), form.batch(terms)
+    grid, weights = _layout(tuple(c.box for c in cells), q)
     values = np.empty(weights.shape)
+    bad = np.empty(weights.shape, bool)
     # whole rows of the first free axis, at least _BLOCK nodes a block
-    rows = -(-_BLOCK // (values.size // len(values)))
-    for start in range(0, len(values), rows):
-        cut = slice(start, start + rows)
-        block = list(grid)
-        if free:
-            block[free[0]] = grid[free[0]][cut]
-        with np.errstate(all="ignore"):
-            jet = batch.columns(block)
+    rows = -(-_BLOCK // (values[0].size // values.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, values.shape[1], rows):
+            cut = slice(start, start + rows)
+            jet = batch.columns([a if a.shape[1] == 1 else a[:, cut] for a in grid])
             # a constant component as an array, so that numpy, not Python's
             # float **, raises it to powers, as on a flat column
             comps = [np.atleast_1d(c) for c in jet[:m]]
-            values[cut] = integrand(
-                comps, lambda i, j: None if zero[i][j] else jet[m + i * n + j], coeffs.columns
-            )
-        # named in the parent's parameter coordinates, pinned values included
-        finite = np.isfinite(values[cut])
-        for c in comps:
-            finite &= np.isfinite(c)
-        node = first_node(block, ~finite)
-        if node is not None:
-            where = f"integrand singular at quadrature node {node}"
-            try:
-                at_node(node)
-            except SingularityError as err:
-                err.node = node
-                raise SingularityError(f"{where}: {err}") from err
-            raise SingularityError(f"{where}: not a finite number")
-    with np.errstate(all="ignore"):
+            cols = dict(zip(terms, coeffs.columns(comps)))
+            for free, run in runs:
+                part = slice(run[0], run[-1] + 1)
+                if needs[free]:
+                    minors = _minors(
+                        lambda i, j: None if zero[i][j] else _cells(jet[m + i * n + j], part),
+                        needs[free], free)
+                    values[part, cut] = sum(_cells(cols[t], part) * minor
+                                            for t, minor in zip(needs[free], minors))
+            finite = np.isfinite(values[:, cut])
+            for c in comps:
+                finite &= np.isfinite(c)
+            bad[:, cut] = ~finite
         values *= weights
-        return cell.orientation * _finite_sum(float(np.sum(values.ravel())))
+        out = []
+        for i, (cell, faulty) in enumerate(zip(cells, bad.reshape(len(cells), -1).any(axis=1))):
+            free = cell.free_axes
+            if not needs[free]:
+                out.append(0.0)
+                continue
+            if faulty:
+                # named in the parent's parameter coordinates, pinned values included
+                node = first_node([_cells(a, slice(i, i + 1)) for a in grid], bad[i])
+                where = f"integrand singular at quadrature node {node}"
+                try:
+                    # the scalar evaluators, for the error they raise: g, each
+                    # Jacobian entry of a free column (a derivative along a
+                    # pinned axis is never evaluated), the coefficients
+                    comps = g(node)
+                    _minors(lambda r, j: None if zero[r][j] else jac[r][j].compiled()(node),
+                            needs[free], free)
+                    form.batch(needs[free]).at(comps)
+                except SingularityError as err:
+                    err.node = node
+                    raise SingularityError(f"{where}: {err}") from err
+                raise SingularityError(f"{where}: not a finite number")
+            out.append(cell.orientation * _finite_sum(float(values[i].ravel().sum())))
+        return out
 
 
 def _finite_sum(total: float) -> float:
@@ -171,9 +213,18 @@ def _finite_sum(total: float) -> float:
     return total
 
 
+def _check_degree(form: DifferentialForm, domain) -> None:
+    if form.k != domain.k:
+        raise DegreeError(f"degree-{form.k} form cannot be integrated over a {domain.k}-cell")
+    if form.n != domain.ambient:
+        raise DimensionMismatch(f"form on R^{form.n} vs cell in R^{domain.ambient}")
+
+
 def integrate_cell(form: DifferentialForm, cell: Cell, spec=16) -> float:
     """Integral of a k-form over an oriented k-cell."""
-    return _cell_integral(form, cell, quad_points(spec))
+    q = quad_points(spec)
+    _check_degree(form, cell)
+    return _integrals(form, [cell], q)[0]
 
 
 def integrate(form: DifferentialForm, domain, spec=16) -> float:
@@ -183,10 +234,15 @@ def integrate(form: DifferentialForm, domain, spec=16) -> float:
     if not isinstance(domain, Chain):
         raise TypeError(f"cannot integrate over {type(domain).__name__}")
     q = quad_points(spec)
+    _check_degree(form, domain)
     total = 0.0
-    for w, cell in domain:
-        if w:
-            total += w * _cell_integral(form, cell, q)
+    # a run of terms through one map is one group, cut at every size-th term
+    size = -(-_BLOCK // q ** domain.k)
+    terms = enumerate(t for t in domain if t[0])
+    for _, group in groupby(terms, key=lambda t: (t[1][1].mapping, t[0] // size)):
+        group = [t for _, t in group]
+        for (w, _), value in zip(group, _integrals(form, [c for _, c in group], q)):
+            total += w * value
     return _finite_sum(total)
 
 

@@ -24,7 +24,7 @@ from extcalc.errors import (
     SingularityError,
 )
 from extcalc.forms import DifferentialForm
-from extcalc.geometry import Loop, Surface, mapping_degree
+from extcalc.geometry import Loop, mapping_degree
 from extcalc.maps import SmoothMap
 
 x = S.variable(0)
@@ -65,8 +65,6 @@ CASES = [
     ("variable-axis", DimensionMismatch, lambda: S.variable(-1)),
     ("differentiate-axis", DimensionMismatch, lambda: x.differentiate(-1)),
     ("loop-open", NotClosedError, lambda: Loop(Cell(((0.0, 3.0),), arc))),
-    ("surface-open", NotClosedError,
-     lambda: Surface([sh.hemisphere_cell()], chi=1).validate_closed()),
     ("degree-period", SingularityError, lambda: mapping_degree(
         SmoothMap.identity(2), sh.circle_chain(), sh.circle_chain(), DifferentialForm.zero(2, 1)
     )),

@@ -484,3 +484,170 @@ class TestQuadratureBehavior:
 
         with pytest.raises(ParseError):
             Cell(((1.0, 1.0),), SM(1, 1, [x]))
+
+
+class TestChainGroups:
+    """A run of chain terms through one map is integrated as one group,
+    with the values and faults of one cell at a time."""
+
+    @staticmethod
+    def _in_order(form, chain, q):
+        total = 0.0
+        for w, cell in chain:
+            total += w * integrate_cell(form, cell, q)
+        return total
+
+    def test_chain_equals_the_in_order_sum_of_its_cells(self):
+        rng = make_rng(1900)
+        for trial in range(60):
+            k = rng.randint(1, 3)
+            m = rng.randint(k, 3)
+            q = rng.randint(2, 12)
+            cells = []
+            for _ in range(2):
+                box = []
+                for _ in range(k):
+                    a = rng.uniform(-1.0, 0.5)
+                    box.append((a, a + rng.uniform(0.25, 1.5)))
+                cells.append(Cell(tuple(box), rand_map(rng, k, m, degree=2), rng.choice((1, -1))))
+            # the faces of two cells through two maps, interleaved at random,
+            # some flipped, with weights 0, +-1 and +-2
+            faces = [face for cell in cells for _, face in boundary(cell)]
+            rng.shuffle(faces)
+            terms = [(rng.choice((0, 1, -1, 2, -2)),
+                      face.flipped() if rng.random() < 0.3 else face) for face in faces]
+            chains = [Chain(terms), Chain([(1, c) for c in cells])]
+            if k >= 2:
+                chains.append(boundary(boundary(cells[0])))
+            for chain in chains:
+                form = rand_form(rng, m, chain.k)
+                expected = self._in_order(form, chain, q)
+                assert integrate(form, chain, q) == expected, (trial, chain.k)
+
+    def test_large_chains_split_into_groups(self):
+        # a chain of more nodes than one group holds: every cell still
+        # integrates as it does alone
+        rng = make_rng(1901)
+        g = rand_map(rng, 2, 2)
+        terms = [(rng.choice((1, -1, 2)), Cell(((0.0, 1.0 + i / 8), (0.0, 1.0)), g))
+                 for i in range(12)]
+        form = rand_form(rng, 2, 2)
+        for q in (24, 64):
+            chain = Chain(terms)
+            assert integrate(form, chain, q) == self._in_order(form, chain, q)
+
+    # the texts and nodes of the faults, as the integration that ran one
+    # cell at a time raised them
+    FAULTS = {
+        "third-face": (
+            SingularityError,
+            "integrand singular at quadrature node (0.04691007703066802, 4.0): "
+            "ln of a non-positive value",
+            (0.04691007703066802, 4.0)),
+        "cube-last-face": (
+            SingularityError,
+            "integrand singular at quadrature node (0.06943184420297371, 0.06943184420297371, "
+            "0.0): ln of a non-positive value",
+            (0.06943184420297371, 0.06943184420297371, 0.0)),
+        "pinned-zero": (
+            SingularityError,
+            "integrand singular at quadrature node (0.0, 0.06943184420297371): "
+            "ln of a non-positive value",
+            (0.0, 0.06943184420297371)),
+        "pinned-minus-zero": (
+            SingularityError,
+            "integrand singular at quadrature node (-0.0, 0.06943184420297371): "
+            "ln of a non-positive value",
+            (-0.0, 0.06943184420297371)),
+        "overflow-first": (
+            SingularityError, "the weighted quadrature sum is not a finite number", None),
+        "point": (
+            SingularityError,
+            "integrand singular at quadrature node (2.0,): division by zero during evaluation",
+            (2.0,)),
+        "inf-value": (
+            SingularityError,
+            "integrand singular at quadrature node (2e+60, 1.1127016653792582e+60): "
+            "not a finite number",
+            None),
+        "exp-overflow": (OverflowError, "math range error", None),
+    }
+
+    @staticmethod
+    def _fault_case(name):
+        u, v, w = x, y, z
+        square = Cell(((0.0, 1.0), (0.0, 4.0)), SmoothMap.identity(2))
+        # z = w*(1 + u*v) is 0 on the last face, w = 0, only
+        cube = Cell(((0.0, 1.0),) * 3, SmoothMap(3, 3, [u + v * w, v - u * u, w + w * u * v]))
+        huge = Cell(((1e60, 2e60), (1e60, 2e60)), SmoothMap.identity(2))
+        ln_x = DF(2, 1, {(1,): S.ln(x)})
+        cases = {
+            # the faces x = 1, x = 0 come first; ln(4 - y) fails on y = 4, the third
+            "third-face": (DF(2, 1, {(0,): S.ln(4 - y), (1,): x}), boundary(square), 5),
+            "cube-last-face": (DF(3, 2, {(0, 1): S.ln(z), (1, 2): x * y}), boundary(cube), 4),
+            "pinned-zero": (ln_x, Chain([(1, Cell((0.0, (0.0, 1.0)), SmoothMap.identity(2)))]), 4),
+            "pinned-minus-zero": (
+                ln_x, Chain([(1, Cell((-0.0, (0.0, 1.0)), SmoothMap.identity(2)))]), 4),
+            # the weighted sum on the face x = 0 overflows before the third
+            # face, with its singular node, is reached
+            "overflow-first": (
+                DF(2, 1, {(0,): S.ln(4 - y), (1,): Fraction(3, 2) * 10**308 * (1 - x)}),
+                boundary(square), 6),
+            "point": (DF.from_scalar(1, 1 / (x - 2)),
+                      boundary(Cell(((0.0, 2.0),), SmoothMap.identity(1))), 4),
+            "inf-value": (DF(2, 1, {(1,): 10**200 * x * y}), boundary(huge), 3),
+            "exp-overflow": (DF(2, 1, {(1,): S.exp(800 * (1 - x))}), boundary(square), 3),
+        }
+        return cases[name]
+
+    @pytest.mark.parametrize("name", list(FAULTS))
+    def test_fault_text_and_node(self, name):
+        error, text, node = self.FAULTS[name]
+        form, chain, q = self._fault_case(name)
+        with pytest.raises(error) as err:
+            integrate(form, chain, q)
+        assert str(err.value) == text
+        assert getattr(err.value.__cause__, "node", None) == node
+        if node is not None:
+            assert [math.copysign(1.0, c) for c in err.value.__cause__.node] == [
+                math.copysign(1.0, c) for c in node]
+
+    def test_overflow_case_has_a_singular_third_face(self):
+        form, chain, q = self._fault_case("overflow-first")
+        with pytest.raises(SingularityError, match="ln of a non-positive value"):
+            integrate_cell(form, list(chain)[2][1], q)
+
+    def test_pinned_zero_keeps_its_sign_in_the_layout_cache(self):
+        ln_x = DF(2, 1, {(1,): S.ln(x)})
+        for value in (0.0, -0.0, 0.0, -0.0):
+            cell = Cell((value, (0.0, 1.0)), SmoothMap.identity(2))
+            with pytest.raises(SingularityError) as err:
+                integrate_cell(ln_x, cell, 4)
+            assert math.copysign(1.0, err.value.__cause__.node[0]) == math.copysign(1.0, value)
+            assert str(err.value).startswith(f"integrand singular at quadrature node ({value!r}, ")
+
+    def test_cached_layout_is_read_only(self):
+        from extcalc.integrate import _layout
+
+        boxes = tuple(face.box for _, face in boundary(sh.square_cell()))
+        grid, weights = _layout(boxes, 5)
+        assert _layout(boxes, 5)[1] is weights
+        for a in grid + [weights]:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_layout_cache_is_bounded(self):
+        I = importlib.import_module("extcalc.integrate")
+        for i in range(2 * I._LAYOUT_COUNT):
+            I._layout((((0.0, 1.0 + i),) * 3), 16)
+        assert len(I._LAYOUTS) <= I._LAYOUT_COUNT
+        held = sum(a.nbytes for arrays in I._LAYOUTS.values() for a in arrays)
+        assert held <= I._LAYOUT_BYTES
+
+    def test_zero_weights_still_check_the_degree(self):
+        square = sh.square_cell()
+        for w in (0, 1):
+            with pytest.raises(DegreeError):
+                integrate(DF(2, 1, {(0,): x}), Chain([(w, square)]))
+            with pytest.raises(DimensionMismatch):
+                integrate(DF(3, 2, {(0, 1): x}), Chain([(w, square)]))
