@@ -17,7 +17,9 @@ from .scalar import (
     axis_name,
     format_coefficient,
     format_expr,
+    loose,
     sqrt,
+    sum_terms,
     variable,
 )
 
@@ -331,10 +333,7 @@ def curl(v: VectorFieldSym) -> VectorFieldSym:
 
 
 def divergence(v: VectorFieldSym) -> ScalarExpr:
-    total = ZERO
-    for i, c in enumerate(v.components):
-        total = total + c.differentiate(i)
-    return total
+    return sum_terms(loose(c.differentiate(i)) for i, c in enumerate(v.components))
 
 
 def angular_form() -> DifferentialForm:

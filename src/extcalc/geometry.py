@@ -13,6 +13,7 @@ is -I^{-1} II, whose determinant K does not depend on the orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,7 +39,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Loop:
-    """A closed parametrized curve: a 1-cell whose endpoints coincide."""
+    """A closed parametrized curve: a 1-cell whose endpoints are finite and
+    agree in every coordinate to 1e-12 times the largest endpoint coordinate
+    magnitude, or to 1e-12 where that is below 1."""
 
     cell: Cell
 
@@ -50,11 +53,14 @@ class Loop:
         (a, b), = self.cell.box
         pa = self.cell.mapping([a])
         pb = self.cell.mapping([b])
-        # an endpoint that is not finite makes a gap nan, and nan <= 1e-12 is
-        # False (max() would keep or drop a nan by its position)
-        if not all(abs(x - y) <= 1e-12 for x, y in zip(pa, pb)):
+        ends = [*pa, *pb]
+        # one scale for every coordinate, since a gap may sit where a
+        # coordinate is near 0; finite first, since an inf would make the
+        # tolerance inf, and max() keeps or drops a nan by its position
+        if not all(map(math.isfinite, ends)) or (
+                max(abs(x - y) for x, y in zip(pa, pb)) > 1e-12 * max(1.0, *map(abs, ends))):
             raise NotClosedError(f"endpoints {tuple(pa)} and {tuple(pb)} differ by more "
-                                 "than 1e-12; not a closed loop")
+                                 "than 1e-12 relative to their size; not a closed loop")
 
     @property
     def ambient(self):
@@ -76,25 +82,35 @@ _GUARD_SAMPLES = 1024
 # points) are rejected
 _MIN_DISTANCE_FACTOR = 1e-3
 
+# the angular form and its coefficient tape, built once per process
+_angular_form = functools.cache(angular_form)
+
 
 def winding_number(loop: Loop, spec=32):
     """Winding of a loop in R^2 minus the origin.
 
     Returns (value, nearest integer); value is the loop integral of the
     angular form divided by 2 pi.  A loop whose _GUARD_SAMPLES samples come
-    within 1e-3 times max(1, its extent) of the origin is rejected rather
-    than integrated, and the error names the least sampled distance.
+    within 1e-3 times its extent of the origin is rejected rather than
+    integrated, as ``linking_number`` rejects loops, and the error names the
+    least sampled distance; so is a loop whose samples reach so far that
+    x^2 + y^2 overflows.
     """
     import numpy as np
 
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
-    bound = _MIN_DISTANCE_FACTOR * max(1.0, _loop_extent(pts))
-    gap = _min_distance(pts, np.zeros((1, 2)), bound)
+    with np.errstate(all="ignore"):
+        bound = _MIN_DISTANCE_FACTOR * _loop_extent(pts)
+        gap = _min_distance(pts, np.zeros((1, 2)), bound)
     if gap < bound:
         raise SingularityError(f"loop comes within {gap:.3e} of the origin")
-    value = integrate_cell(angular_form(), loop.cell, spec) / (2 * math.pi)
+    reach = float(np.max(np.abs(pts)))
+    # where x^2 + y^2 overflows, every node value of the angular form reads 0
+    if reach * reach == math.inf:
+        raise SingularityError(f"loop reaches {reach:.3e}, where x^2 + y^2 overflows")
+    value = integrate_cell(_angular_form(), loop.cell, spec) / (2 * math.pi)
     return value, round(value)
 
 
@@ -159,11 +175,13 @@ def _point(params):
 def _surface_frame(cell: Cell, cols, order=1):
     """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
     the area element |r_s x r_t| at the nodes, and for order 2 also the
-    exact r_ss, r_st, r_tt, all from one batch of the map; the first node
-    with an area element below 1e-12 raises RankDeficientError naming that
-    node, and then the first with an area element that is not finite
-    raises SingularityError (with a finite jet, the frame is finite exactly
-    where the area element is)."""
+    exact r_ss, r_st, r_tt, all from one batch of the map.  The first node
+    where the tangents are parallel relative to their lengths or one
+    vanishes, |r_s x r_t|^2 <= 1e-24 |r_s|^2 |r_t|^2 with a finite left
+    side, raises RankDeficientError naming that node, so the test does not
+    depend on the surface's scale; then the first with an area element that
+    is not finite raises SingularityError (with a finite jet, the frame is
+    finite exactly where the area element is)."""
     import numpy as np
 
     if cell.k != 2 or cell.mapping.n != 2 or cell.ambient != 3:
@@ -172,9 +190,11 @@ def _surface_frame(cell: Cell, cols, order=1):
     r_s, r_t = jac[:, 0], jac[:, 1]
     with np.errstate(all="ignore"):
         cross = np.cross(r_s, r_t, axis=0)
-        area = np.sqrt(np.sum(cross * cross, axis=0))
+        square = np.sum(cross * cross, axis=0)
+        area = np.sqrt(square)
         frame = (r_s, r_t, cell.orientation * cross / area, area)
-    node = first_node(cols, area < 1e-12)
+        flat = square <= 1e-24 * np.sum(r_s * r_s, axis=0) * np.sum(r_t * r_t, axis=0)
+    node = first_node(cols, flat & np.isfinite(square))
     if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
     node = first_node(cols, ~np.isfinite(area))
@@ -308,7 +328,8 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     (value, nearest integer).  Two loops whose samples, _GUARD_SAMPLES on
     each, come within 1e-3 times the larger loop extent of each other are
     rejected rather than integrated, and the error names the least sampled
-    distance.
+    distance.  A guard or kernel that overflows warns nothing, and a sum
+    that is not finite raises SingularityError.
     """
     import numpy as np
 
@@ -317,20 +338,21 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     q = quad_points(spec)
     guard1 = loop1.sample(_GUARD_SAMPLES)
     guard2 = loop2.sample(_GUARD_SAMPLES)
-    bound = _MIN_DISTANCE_FACTOR * max(_loop_extent(guard1), _loop_extent(guard2))
-    min_gap = _min_distance(guard1, guard2, bound)
-    if min_gap < bound:
-        raise SingularityError(
-            f"loops come within {min_gap:.3e} of each other; "
-            "the linking integrand is nearly singular"
-        )
-    pos1, vel1, w1 = _loop_tables(loop1, q)
-    pos2, vel2, w2 = _loop_tables(loop2, q)
-    diff = pos1[:, None, :] - pos2[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    # det[g1', g2', diff] as the triple product diff . (g1' x g2')
-    triple = np.sum(np.cross(vel1[:, None, :], vel2[None, :, :]) * diff, axis=2)
-    total = float(np.sum(np.outer(w1, w2) * (triple / dist**3)))
+    with np.errstate(all="ignore"):
+        bound = _MIN_DISTANCE_FACTOR * max(_loop_extent(guard1), _loop_extent(guard2))
+        min_gap = _min_distance(guard1, guard2, bound)
+        if min_gap < bound:
+            raise SingularityError(
+                f"loops come within {min_gap:.3e} of each other; "
+                "the linking integrand is nearly singular"
+            )
+        pos1, vel1, w1 = _loop_tables(loop1, q)
+        pos2, vel2, w2 = _loop_tables(loop2, q)
+        diff = pos1[:, None, :] - pos2[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        # det[g1', g2', diff] as the triple product diff . (g1' x g2')
+        triple = np.sum(np.cross(vel1[:, None, :], vel2[None, :, :]) * diff, axis=2)
+        total = _finite_sum(float(np.sum(np.outer(w1, w2) * (triple / dist**3))))
     value = loop1.cell.orientation * loop2.cell.orientation * total / (4 * math.pi)
     return value, round(value)
 

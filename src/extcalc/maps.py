@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DimensionMismatch
-from .forms import DifferentialForm, _add_term
-from .scalar import ZERO, Batch, ScalarExpr, as_expr, cos, sin, variable
+from .forms import DifferentialForm
+from .scalar import ZERO, Batch, ScalarExpr, as_expr, cos, loose, sin, sum_terms, variable
 
 
 class SmoothMap:
@@ -37,15 +39,10 @@ class SmoothMap:
         """Map x -> A x for an m x n matrix of numbers/expressions."""
         m = len(matrix)
         n = len(matrix[0]) if m else 0
-        comps = []
-        for row in matrix:
-            if len(row) != n:
-                raise DimensionMismatch("ragged matrix")
-            total = as_expr(0)
-            for j, a in enumerate(row):
-                total = total + as_expr(a) * variable(j)
-            comps.append(total)
-        return SmoothMap(n, m, comps)
+        if any(len(row) != n for row in matrix):
+            raise DimensionMismatch("ragged matrix")
+        return SmoothMap(n, m, [
+            sum_terms(loose(as_expr(a) * variable(j)) for j, a in enumerate(row)) for row in matrix])
 
     def __call__(self, point):
         """Evaluate numerically at a point."""
@@ -105,10 +102,14 @@ class SmoothMap:
     def jacobian_determinant(self) -> ScalarExpr:
         if self.n != self.m:
             raise DimensionMismatch("determinant needs a square Jacobian")
-        jac = self.jacobian()
         axes = tuple(range(self.n))
-        (det,) = _minors(lambda i, j: None if jac[i][j].is_zero() else jac[i][j], [axes], axes)
+        (det,) = _minors(self._entry, [axes], axes)
         return ZERO if det is None else as_expr(det)
+
+    def _entry(self, i, j):
+        """Jacobian entry (i, j) for ``_minors``: None where it is zero."""
+        e = self.jacobian()[i][j]
+        return None if e.is_zero() else e
 
     def __repr__(self):
         comps = "; ".join(str(c) for c in self.components)
@@ -163,11 +164,9 @@ def freeze_axis(g: SmoothMap, axis: int, value) -> SmoothMap:
 
 
 def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
-    """Pull a form on the codomain back through g.
-
-    Coefficients are composed with g and each dy^i becomes
-    dg^i = sum_j (dg_i/dx_j) dx^j, read off the cached Jacobian and wedged in
-    index order.
+    """Pull a form on the codomain back through g: the coefficient of dx_J
+    is sum_I (a_I o g) det(dg_I/dx_J) (the paper's g*(a dy_I)), with the
+    minors of the cached Jacobian from ``_minors``, added by ``sum_terms``.
     """
     if form.n != g.m:
         raise DimensionMismatch(
@@ -176,21 +175,11 @@ def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     n = g.n
     if form.k > n:
         return DifferentialForm.zero(n, form.k)
-    # differentials of the needed components, as 1-forms on the domain
-    needed = {i for idx in form.terms for i in idx}
-    dg = {
-        i: DifferentialForm(n, 1, {(j,): c for j, c in enumerate(g.jacobian()[i])})
-        for i in needed
-    }
+    pulled = [c.substitute(g.components) for c in form.terms.values()]
     out = {}
-    for idx, coeff in form.terms.items():
-        pulled = DifferentialForm.from_scalar(n, coeff.substitute(g.components))
-        for i in idx:
-            pulled = pulled.wedge(dg[i])
-            if pulled.is_zero():
-                break
-        for j, c in pulled.terms.items():
-            _add_term(out, j, c)
+    for cols in combinations(range(n), form.k):
+        minors = _minors(g._entry, list(form.terms), cols)
+        out[cols] = sum_terms(loose(a * det) for a, det in zip(pulled, minors) if det is not None)
     return DifferentialForm(n, form.k, out)
 
 

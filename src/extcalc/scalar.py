@@ -724,6 +724,22 @@ def loose_pow(v, k: int):
     return _p_pow(_loose_poly(v), k)
 
 
+def sum_terms(values) -> ScalarExpr:
+    """The sum of loose values, by the one rule the symbolic layer adds many
+    terms with: numbers and polynomials add into one term dict in order,
+    quotients are added one by one after them, and the dict becomes a
+    ScalarExpr once, so no partial sum is copied."""
+    poly: dict = {}
+    quotients = ZERO
+    for v in values:
+        if type(v) is ScalarExpr:
+            quotients = quotients + v
+        else:
+            _p_add_into(poly, _loose_poly(v))
+    total = ScalarExpr._make(poly, _p_one())
+    return total if quotients.is_zero() else total + quotients
+
+
 # ---------------------------------------------------------------------------
 # Elementary functions
 
@@ -855,21 +871,15 @@ def _diff(e: ScalarExpr, axis: int, derivs) -> ScalarExpr:
 
 
 def _poly_diff(p, axis: int, derivs) -> ScalarExpr:
-    total = ZERO
-    for m, c in p.items():
-        for i, (a, e) in enumerate(m):
-            if axis not in a._axes:
-                continue
-            da = derivs[a] if a.kind == "f" else ONE
-            if da.is_zero():
-                continue
-            rest = list(m[:i]) + list(m[i + 1:])
-            if e > 1:
-                rest.append((a, e - 1))
-                rest.sort(key=lambda ae: ae[0].key)
-            factor = ScalarExpr._make({tuple(rest): _norm(c * e)}, _p_one())
-            total = total + factor * da
-    return total
+    """dp/d(axis) term by term by the product rule, added by ``sum_terms``."""
+    def terms():
+        for m, c in p.items():
+            for i, (a, e) in enumerate(m):
+                if axis in a._axes:
+                    mono = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
+                    rest = {mono: _norm(c * e)}
+                    yield rest if a.kind == "v" else loose_mul(rest, loose(derivs[a]))
+    return sum_terms(terms())
 
 
 def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
@@ -881,19 +891,10 @@ def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
 
 
 def _poly_substitute(p, replacements, images) -> ScalarExpr:
-    # terms over denominator 1 add up in one dict; quotients add one by one
-    poly: dict = {}
-    quotients = ZERO
-    for m, c in p.items():
-        term = ScalarExpr.constant(c)
-        for a, e in m:
-            sub = replacements[a.axis] if a.kind == "v" else images[a]
-            term = term * sub ** e
-        if _p_is_const(term._den):
-            _p_add_into(poly, term._num)
-        else:
-            quotients = quotients + term
-    return ScalarExpr._make(poly, _p_one()) + quotients
+    def image(a):
+        return replacements[a.axis] if a.kind == "v" else images[a]
+    return sum_terms(loose(math.prod((image(a) ** e for a, e in m), start=ScalarExpr.constant(c)))
+                     for m, c in p.items())
 
 
 # ---------------------------------------------------------------------------

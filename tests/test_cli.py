@@ -195,6 +195,13 @@ class TestVerbs:
         assert code == 0
         assert "(integer 1," in out
 
+    def test_winding_of_a_large_circle(self, capsys, tmp_path):
+        big = write_json(tmp_path / "big.json", {"ambient": 2, "cells": [
+            {"box": [[0.0, 2 * math.pi]], "map": ["10000*cos(x)", "10000*sin(x)"]}]})
+        code, out, err = run(capsys, "winding", "--loop", big, "--quad", "32")
+        assert (code, err) == (0, "")
+        assert "(integer 1," in out
+
     def test_linking(self, capsys, tmp_path):
         loop1 = write_json(
             tmp_path / "l1.json",

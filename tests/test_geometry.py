@@ -1,6 +1,7 @@
 """Winding, linking, mapping degree, curvature, Gauss-Bonnet."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from extcalc.geometry import (
 from extcalc.integrate import boundary, integrate
 from extcalc.maps import SmoothMap
 
-from helpers import make_rng
+from helpers import count_calls, make_rng
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -135,6 +136,37 @@ class TestWinding:
         assert nearest == 1
         assert abs(pert - base) < 1e-3
 
+
+    @pytest.mark.parametrize("radius", [10**4, 10**6])
+    def test_large_circles_wind_once(self, radius):
+        # the endpoint gap at y = 0 is about 2.4e-16 times the radius
+        value, nearest = winding_number(Loop(sh.circle_cell(radius)), 32)
+        assert nearest == 1 and abs(value - 1) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_circle_too_large_for_the_angular_form_rejected(self):
+        # x^2 + y^2 overflows past about 1.3e154, and every node would read 0
+        message = r"^loop reaches 1\.000e\+160, where x\^2 \+ y\^2 overflows$"
+        with pytest.raises(SingularityError, match=message):
+            winding_number(Loop(sh.circle_cell(10**160)), 32)
+
+    def test_open_arc_of_a_large_circle_rejected(self):
+        th = S.variable(0)
+        arc = SmoothMap(1, 2, [10**6 * S.cos(th), 10**6 * S.sin(th)])
+        with pytest.raises(NotClosedError):
+            Loop(Cell(((0.0, 6.28),), arc))
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 10**4), Fraction(1, 10**8)])
+    def test_small_circles_wind_once(self, radius):
+        value, nearest = winding_number(Loop(sh.circle_cell(radius)), 32)
+        assert nearest == 1 and abs(value - 1) <= 1e-12
+
+    def test_angular_form_is_built_once(self, monkeypatch):
+        loop = Loop(sh.circle_cell())
+        first = winding_number(loop, 32)
+        built = count_calls(monkeypatch, DifferentialForm, "__init__")
+        assert winding_number(loop, 32) == first
+        assert built == []
 
 class TestNonexactness:
     def test_angular_form_period(self):
@@ -344,6 +376,14 @@ class TestGaussBonnet:
         rhs, _, _ = gauss_bonnet_check(surface, 24)
         assert abs(lhs - rhs) <= 1e-12
 
+    @pytest.mark.parametrize("radius", [Fraction(1, 10**6), Fraction(1, 10**9)])
+    def test_tiny_spheres(self, radius):
+        # K dA does not depend on the scale, and no node is rank-deficient
+        surface = Surface([sh.sphere_cell(radius)], chi=2)
+        assert gauss_bonnet_check(surface, 24)[2] <= 1e-12
+        exact = 4 * math.pi * float(radius) ** 2
+        assert abs(surface_area(surface, 24) - exact) <= 1e-12 * exact
+
 
 class TestAreas:
     def test_sphere_area(self):
@@ -495,3 +535,21 @@ class TestLinking:
                 diff
             ) ** 3
             assert abs(sym - kern) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**4), 10**6])
+    def test_scaled_hopf_pair_links_once(self, scale):
+        l1 = circle_loop_3d(plane="xy", radius=scale)
+        l2 = circle_loop_3d(center=(scale, 0, 0), plane="xz", radius=scale)
+        value, nearest = linking_number(l1, l2, 32)
+        assert nearest == -1 and abs(value + 1) <= 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [10**110, 10**160], ids=["1e110", "1e160"])
+    def test_overflowing_kernel_is_refused(self, scale):
+        # the cube of the distance overflows: no numpy warning and no bare
+        # ValueError from round(nan), but one SingularityError
+        l1 = circle_loop_3d(plane="xy", radius=scale)
+        l2 = circle_loop_3d(center=(scale, 0, 0), plane="xz", radius=scale)
+        message = "^the weighted quadrature sum is not a finite number$"
+        with pytest.raises(SingularityError, match=message):
+            linking_number(l1, l2, 32)

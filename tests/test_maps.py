@@ -1,5 +1,7 @@
 """Smooth maps, Jacobians, pullbacks of forms, naturality."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from extcalc.maps import SmoothMap, compose, freeze_axis, polar_map, pullback
 from extcalc.parsing import parse_map
 from extcalc.tensors import AltTensor, pullback_linear
 
-from helpers import count_calls, make_rng, rand_form, rand_map, rand_point
+from helpers import count_calls, make_rng, rand_elementary, rand_form, rand_map, rand_point
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -100,6 +102,37 @@ class TestPullback:
         g = SmoothMap(1, 3, [x, x * x, x + 1])
         assert pullback(g, DF.basis(3, 0, 1)).is_zero()
 
+
+    def test_equals_the_wedge_of_the_component_differentials(self, monkeypatch):
+        # the oracle: g*(a dy_I) = (a o g) dg_i1 /\ ... /\ dg_ik with
+        # dg_i = sum_j (dg_i/dx_j) dx_j, wedged and added term by term; the
+        # maps of odd trials have elementary components
+        rng = make_rng(21)
+        wedges = count_calls(monkeypatch, DF, "wedge")
+        for trial in range(40):
+            n, m = rng.randint(1, 3), rng.randint(1, 4)
+            if trial % 2:
+                g = SmoothMap(n, m, [rand_elementary(rng, n) for _ in range(m)])
+            else:
+                g = rand_map(rng, n, m)
+            k = rng.randint(0, min(n, m))
+            pool = list(combinations(range(m), k))
+            idxs = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+            a = DF(m, k, {idx: rand_elementary(rng, m) for idx in idxs})
+            dg = [DF(n, 1, {(j,): c.differentiate(j) for j in range(n)}) for c in g.components]
+            want = DF.zero(n, k)
+            for idx, c in a.terms.items():
+                term = DF.from_scalar(n, c.substitute(g.components))
+                for i in idx:
+                    term = term.wedge(dg[i])
+                want = want + term
+            wedges.clear()
+            got = pullback(g, a)
+            assert wedges == []
+            assert (got - want).is_zero()
+            if trial % 2 == 0:
+                # through a polynomial map, the same normal form term for term
+                assert str(got) == str(want)
 
 class TestCompose:
     def test_identity_neutral(self):

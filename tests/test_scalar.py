@@ -85,6 +85,40 @@ class TestDifferentiate:
         assert S.sqrt(x).differentiate(0) == 1 / (2 * S.sqrt(x))
 
 
+
+class TestSumTerms:
+    def test_polynomials_add_first_then_quotients(self):
+        q = x / (y * y + 1)
+        values = [S.loose(x * y), q, 3, S.loose(-x * y), S.loose(z), -q / 2]
+        assert S.sum_terms(values) == z + 3 + q / 2
+        assert S.sum_terms([S.loose(x), S.loose(-x)]) is S.ZERO
+        assert S.sum_terms([q, -q]) == S.ZERO
+
+    def test_derivative_of_a_polynomial_makes_one_expression(self, monkeypatch):
+        poly = parse_scalar("(x + 2*y - 3*z + 1)^12", 3)
+        assert len(poly._num) == 455
+        made = []
+        make = S.ScalarExpr._make
+
+        def counted(num, den):
+            made.append(len(num))
+            return make(num, den)
+
+        monkeypatch.setattr(S.ScalarExpr, "_make", staticmethod(counted))
+        derivative = poly.differentiate(1)
+        assert made == [len(derivative._num)]
+        monkeypatch.undo()
+        assert derivative == parse_scalar("24*(x + 2*y - 3*z + 1)^11", 3)
+
+    def test_derivative_mixing_polynomial_and_quotient_terms(self):
+        e = x * x * S.ln(x) + y * S.exp(x * y) + S.sqrt(x) * y
+        got = e.differentiate(0)
+        want = 2 * x * S.ln(x) + x + y * y * S.exp(x * y) + y / (2 * S.sqrt(x))
+        assert got == want
+        for point in ([0.5, 1.5], [2.0, -0.25]):
+            fd = central_difference(e.evaluate, point, 0)
+            assert abs(got.evaluate(point) - fd) <= 1e-7
+
 class TestSubstitute:
     def test_polar_radius(self):
         r, th = S.variable(0), S.variable(1)
