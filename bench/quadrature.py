@@ -20,6 +20,9 @@ building of every batch (Python source generated and compiled on the
 the time per check.  A ``stokes_reused`` row runs the same 20 checks on
 forms, their d, cells and boundaries built before the timing, so it times
 only the numeric cost of the cell integral and of its boundary's faces.
+A ``stokes_prebuilt`` row runs ``stokes_check`` on the same forms and cells
+built before the timing, so it adds to ``stokes_reused`` what a check
+builds on every call: d of the form and its batch, and the boundary.
 For every row and side the output holds the number of timed calls, their
 min and median, and the before/after ratio of each.  The ``linking_*`` and
 ``winding_q32`` rows include the distance guard on 1024 samples per loop;
@@ -141,6 +144,11 @@ def _rows():
                 ec.integrate(d_form, cell, q)
                 ec.integrate(form, faces, q)
         rows[f"stokes_reused_q{q}"] = ("ms", len(reused), stokes_reused)
+
+        def stokes_prebuilt(q=q):
+            for _, cell, form, _ in reused:
+                ec.stokes_check(form, cell, q)
+        rows[f"stokes_prebuilt_q{q}"] = ("ms", len(reused), stokes_prebuilt)
     return rows
 
 

@@ -20,7 +20,11 @@ one operation to every input and reports the time per operation:
 * pullback: a form through a map;
 * dd: ``d`` twice of a form;
 * d_nest_25, d_nest_50, d_nest_75: ``d`` of ``sin(sin(...(x)))*dy`` on R^2
-  with sin nested 25, 50 and 75 deep, per call.
+  with sin nested 25, 50 and 75 deep, per call;
+* tape_map_k3: a fresh ``Batch`` (its evaluation tape) of the components
+  and the Jacobian entries of a quadratic perturbation of the unit 3-box
+  chart (``perfbench/gen.py``), the batch a Stokes check builds for its
+  map, per map; the Jacobians are taken before the timing.
 
 The ``criterion_2`` row runs the body of acceptance criterion 2 (the
 200-instance symbolic property suites of ``tests/test_acceptance.py``) and
@@ -50,6 +54,7 @@ def _rows():
     import test_acceptance
 
     import extcalc as ec
+    from extcalc.scalar import Batch
 
     rng = random.Random(1)
     scalars, forms, maps, texts = [], [], [], []
@@ -67,6 +72,8 @@ def _rows():
     derivatives = [(s, axis) for n, s in scalars for axis in range(n)]
     nests = {depth: ec.parse_form("sin(" * depth + "x" + ")" * depth + "*dy", 2)
              for depth in (25, 50, 75)}
+    charts = [ec.parse_map(gen.perturbed_box_map(rng, 3)) for _ in range(COUNT)]
+    jets = [list(g.components) + [e for row in g.jacobian() for e in row] for g in charts]
 
     def criterion_2():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -87,6 +94,7 @@ def _rows():
         "dd": ("us/op", COUNT, lambda: [w.d().d() for _, _, w in forms]),
         "criterion_2": ("ms", 1, criterion_2),
         **{f"d_nest_{depth}": ("ms", 1, w.d) for depth, w in nests.items()},
+        "tape_map_k3": ("us/op", COUNT, lambda: [Batch(exprs) for exprs in jets]),
     }
 
 

@@ -5,7 +5,9 @@ interval (a, b) with a < b, a free parameter, or a bare number, a parameter
 pinned at that value; the degree k counts the intervals.  The face c_(i,a) of
 a cube c is c with its i-th free parameter pinned at an endpoint (Spivak,
 Calculus on Manifolds, ch. 4), so a face keeps its parent's map, and a point
-is a 0-cell.
+is a 0-cell.  ``Cell`` and ``Chain`` convert and check what they are given;
+a face of a valid cell is valid, so ``boundary`` builds faces and their
+chain without the checks (``Cell._face``, ``Chain._of``).
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ class Cell:
     def flipped(self) -> "Cell":
         return Cell(self.box, self.mapping, -self.orientation)
 
+    def _face(self, i: int, value: float) -> "Cell":
+        """The face with the i-th free axis pinned at value, an end of its
+        interval, built without the checks, which it passes."""
+        free, j = self.free_axes, self.free_axes[i]
+        face = object.__new__(Cell)
+        vars(face).update(box=self.box[:j] + (value,) + self.box[j + 1:], mapping=self.mapping,
+                          orientation=1, free_axes=free[:i] + free[i + 1:])
+        return face
+
 
 class Chain:
     """Integer-weighted formal sum of cells of equal degree and ambient."""
@@ -100,6 +111,13 @@ class Chain:
         self.terms = terms
         self.k = k
         self.ambient = ambient
+
+    @staticmethod
+    def _of(terms, k, ambient):
+        """The chain of checked terms, int weights and k-cells in R^ambient."""
+        chain = object.__new__(Chain)
+        chain.terms, chain.k, chain.ambient = terms, k, ambient
+        return chain
 
     @staticmethod
     def of(*cells):

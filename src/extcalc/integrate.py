@@ -23,8 +23,8 @@ run once.  A group holds about _BLOCK nodes, or one cell, evaluated in
 blocks of rows of its first free axis.  Then, cell by cell, in chain
 order, the first node in lexicographic order where the integrand or the
 map's value is not finite raises, and the scalar evaluators run at that one
-node to name the fault; or the cell's values are summed by their own
-``np.sum``, and a weighted sum of finite values that overflows raises.
+node to name the fault; or the cell's values are summed as ``np.sum``
+sums them alone, and a weighted sum of finite values that overflows raises.
 Nodes are summed in lexicographic order and chain terms in list order, so
 results are bit-reproducible and do not depend on the grouping.  Every node
 value comes from the column evaluators, whose guards give nan where the
@@ -37,7 +37,7 @@ import marshal
 import math
 import threading
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, permutations
 
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
@@ -141,22 +141,14 @@ def _integrals(form: DifferentialForm, cells, q: int) -> list:
     g = cells[0].mapping
     m, n = g.m, g.n
     jac = g.jacobian()
-    zero = [[e.is_zero() for e in row] for row in jac]
-    # per set of free axes, the terms whose minor is not identically zero
-    needs = {}
-    for free in {c.free_axes for c in cells}:
-        shape = _minors(lambda i, j: None if zero[i][j] else 1, list(form.terms), free)
-        needs[free] = tuple(idx for idx, s in zip(form.terms, shape) if s is not None)
-    terms = tuple(idx for idx in form.terms if any(idx in t for t in needs.values()))
+    zero = tuple(tuple(e.is_zero() for e in row) for row in jac)
+    runs, terms = _plan(zero, tuple(form.terms), tuple(c.free_axes for c in cells))
     if not terms:
         return [0.0] * len(cells)
-    # the cells in a row with one set of free axes share their minors
-    runs = [(free, [i for i, _ in run])
-            for free, run in groupby(enumerate(cells), key=lambda t: t[1].free_axes)]
     batch, coeffs = g.batch(), form.batch(terms)
     grid, weights = _layout(tuple(c.box for c in cells), q)
     values = np.empty(weights.shape)
-    bad = np.empty(weights.shape, bool)
+    finite = np.empty(weights.shape, bool)
     # whole rows of the first free axis, at least _BLOCK nodes a block
     rows = -(-_BLOCK // (values[0].size // values.shape[1]))
     with np.errstate(all="ignore"):
@@ -167,43 +159,65 @@ def _integrals(form: DifferentialForm, cells, q: int) -> list:
             # float **, raises it to powers, as on a flat column
             comps = [np.atleast_1d(c) for c in jet[:m]]
             cols = dict(zip(terms, coeffs.columns(comps)))
-            for free, run in runs:
-                part = slice(run[0], run[-1] + 1)
-                if needs[free]:
+            for part, free, need in runs:
+                if need:
                     minors = _minors(
                         lambda i, j: None if zero[i][j] else _cells(jet[m + i * n + j], part),
-                        needs[free], free)
+                        need, free)
                     values[part, cut] = sum(_cells(cols[t], part) * minor
-                                            for t, minor in zip(needs[free], minors))
-            finite = np.isfinite(values[:, cut])
+                                            for t, minor in zip(need, minors))
+            ok = np.isfinite(values[:, cut], out=finite[:, cut])
             for c in comps:
-                finite &= np.isfinite(c)
-            bad[:, cut] = ~finite
+                ok &= np.isfinite(c)
         values *= weights
+        # summed along the fast axis, as np.sum sums one cell alone
+        sums = values.reshape(len(cells), -1).sum(axis=1).tolist()
+        faulty = [False] * len(cells) if finite.all() else ~finite.reshape(len(cells), -1).all(1)
         out = []
-        for i, (cell, faulty) in enumerate(zip(cells, bad.reshape(len(cells), -1).any(axis=1))):
-            free = cell.free_axes
-            if not needs[free]:
-                out.append(0.0)
-                continue
-            if faulty:
-                # named in the parent's parameter coordinates, pinned values included
-                node = first_node([_cells(a, slice(i, i + 1)) for a in grid], bad[i])
-                where = f"integrand singular at quadrature node {node}"
-                try:
-                    # the scalar evaluators, for the error they raise: g, each
-                    # Jacobian entry of a free column (a derivative along a
-                    # pinned axis is never evaluated), the coefficients
-                    comps = g(node)
-                    _minors(lambda r, j: None if zero[r][j] else jac[r][j].compiled()(node),
-                            needs[free], free)
-                    form.batch(needs[free]).at(comps)
-                except SingularityError as err:
-                    err.node = node
-                    raise SingularityError(f"{where}: {err}") from err
-                raise SingularityError(f"{where}: not a finite number")
-            out.append(cell.orientation * _finite_sum(float(values[i].ravel().sum())))
+        for part, free, need in runs:
+            for i in range(part.start, part.stop):
+                if not need:
+                    out.append(0.0)
+                    continue
+                if faulty[i]:
+                    # named in the parent's parameter coordinates, pinned values included
+                    node = first_node([_cells(a, slice(i, i + 1)) for a in grid], ~finite[i])
+                    where = f"integrand singular at quadrature node {node}"
+                    try:
+                        # the scalar evaluators, for the error they raise: g, each
+                        # Jacobian entry of a free column (a derivative along a
+                        # pinned axis is never evaluated), the coefficients
+                        comps = g(node)
+                        _minors(lambda r, j: None if zero[r][j] else jac[r][j].compiled()(node),
+                                need, free)
+                        form.batch(need).at(comps)
+                    except SingularityError as err:
+                        err.node = node
+                        raise SingularityError(f"{where}: {err}") from err
+                    raise SingularityError(f"{where}: not a finite number")
+                out.append(cells[i].orientation * _finite_sum(sums[i]))
         return out
+
+
+@lru_cache(maxsize=1 << 12)
+def _plan(zero, terms, frees):
+    """The runs of cells with one set of free axes (frees lists each cell's)
+    as (cells, free axes, needed terms), and the terms some run needs.  A
+    term is needed unless its minor is identically zero for want of nonzero
+    entries: unless some permutation p of the free columns has zero[i][p_i]
+    false for each of its rows i (past four columns, ``_minors`` decides)."""
+    runs = []
+    for free, run in groupby(range(len(frees)), key=frees.__getitem__):
+        run = list(run)
+        if len(free) > 4:
+            shape = _minors(lambda i, j: None if zero[i][j] else 1, list(terms), free)
+            need = tuple(t for t, s in zip(terms, shape) if s is not None)
+        else:
+            need = tuple(t for t in terms if any(all(not zero[i][j] for i, j in zip(t, p))
+                                                 for p in permutations(free)))
+        runs.append((slice(run[0], run[-1] + 1), free, need))
+    live = {t for _, _, need in runs for t in need}
+    return tuple(runs), tuple(t for t in terms if t in live)
 
 
 def _finite_sum(total: float) -> float:
@@ -253,9 +267,11 @@ def boundary(domain):
     its interval.  With the free axes numbered from 1, the face {x_j = b_j}
     enters with sign (-1)^(j-1) and {x_j = a_j} with sign (-1)^j, both
     multiplied by the cell orientation; the faces of [a, b] are 0-cells.
+    A face of a valid cell is valid, so faces are built without re-validation.
     """
     if isinstance(domain, Chain):
-        return Chain([(w * s, face) for w, c in domain for s, face in boundary(c)])
+        faces = [(w * s, face) for w, c in domain for s, face in boundary(c)]
+        return Chain._of(faces, domain.k - 1, domain.ambient)
     cell = domain
     free = cell.free_axes
     if not free:
@@ -264,9 +280,8 @@ def boundary(domain):
     for i, j in enumerate(free):
         a, b = cell.box[j]
         for value, sign in ((b, (-1) ** i), (a, -(-1) ** i)):
-            box = cell.box[:j] + (value,) + cell.box[j + 1:]
-            faces.append((sign * cell.orientation, Cell(box, cell.mapping)))
-    return Chain(faces)
+            faces.append((sign * cell.orientation, cell._face(i, value)))
+    return Chain._of(faces, cell.k - 1, cell.ambient)
 
 
 def stokes_check(form: DifferentialForm, domain, spec=16):

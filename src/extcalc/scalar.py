@@ -145,8 +145,9 @@ def _mono_key(m):
     return tuple((a.key, e) for a, e in m)
 
 
+@functools.lru_cache(maxsize=1 << 12)  # kept per monomial, not rebuilt per sort
 def _grlex(m):
-    """A deterministic total order for printing/evaluation (not multiplicative)."""
+    """A deterministic total order for evaluation (not multiplicative)."""
     return (_mono_degree(m), _mono_key(m))
 
 
@@ -942,25 +943,31 @@ def _tape(exprs):
     left to right, powers by **; ("+", i, rest): r[i] plus the registers
     rest left to right; ("div", i, j); or (name, i, None), a function atom.
     Terms are in ``_grlex`` order, atoms in ``_walk`` order, and a step that
-    recurs is one register."""
-    width = max((e.max_axis() for e in exprs), default=-1) + 1
+    recurs is one register.  A register is keyed on its step, so two exact
+    coefficients that round to one double share the register of their
+    term; a term whose coefficient rounds to a zero also on the sign of
+    that zero, as 0.0 == -0.0."""
+    # one more than the largest axis of an atom, with no set of axes built
+    width = 1 + max((a.axis if a.kind == "v" else max(a._axes, default=-1) for e in exprs
+                     for p in (e._num, e._den) for m in p for a, _ in m), default=-1)
     steps, regs = [], {}
 
     def reg(step, key=None):
         key = step if key is None else key
-        if key not in regs:
-            regs[key] = width + len(steps)
+        r = regs.get(key)
+        if r is None:
+            r = regs[key] = width + len(steps)
             steps.append(step)
-        return regs[key]
+        return r
 
     def poly(p):
         p = p or {_MONO_ONE: 0}  # the empty sum is 0.0
         terms = []
-        for m in sorted(p, key=_grlex):
-            factors = tuple((a.axis if a.kind == "v" else regs[a], e) for a, e in m)
+        for m in sorted(p, key=_grlex) if len(p) > 1 else p:
             c = float(p[m])
-            # keyed on the exact coefficient, as 0.0 == -0.0
-            terms.append(reg(("*", None if factors and c == 1.0 else c, factors), ("*", p[m], m)))
+            step = ("*", None if m and c == 1.0 else c,
+                    tuple([(a.axis if a.kind == "v" else regs[a], e) for a, e in m]))
+            terms.append(reg(step) if c else reg(step, (step, math.copysign(1.0, c))))
         return terms[0] if len(terms) == 1 else reg(("+", terms[0], tuple(terms[1:])))
 
     def quotient(e):

@@ -1,6 +1,8 @@
 """Numeric integration over chains: periods, boundaries, Stokes."""
 
+import hashlib
 import importlib
+import itertools
 import math
 import re
 import sys
@@ -150,6 +152,31 @@ class TestFaces:
                 pinned = integrate_cell(form, face, 6)
                 expected = integrate_cell(form, frozen, 6)
                 assert math.isclose(pinned, expected, rel_tol=1e-13, abs_tol=1e-15)
+
+    def test_faces_equal_validated_cells(self):
+        # faces are built without re-validation; each equals the Cell that
+        # the checking constructor makes of its box and map
+        rng = make_rng(2101)
+        for _ in range(40):
+            pinned = rng.randint(0, 2)
+            k = rng.randint(1, 3)
+            box = [rng.choice((-1, 0.5, Fraction(1, 3), -0.0)) for _ in range(pinned)]
+            for _ in range(k):
+                a = rng.choice((-1, 0, 0.25))
+                box.append((a, a + rng.choice((1, 0.5, Fraction(3, 2)))))
+            rng.shuffle(box)
+            cell = Cell(tuple(box), rand_map(rng, len(box), 2), rng.choice((1, -1)))
+            for chain in (boundary(cell), boundary(Chain([(2, cell), (-1, cell.flipped())]))):
+                assert chain.k == k - 1 and chain.ambient == 2
+                for w, face in chain:
+                    checked = Cell(face.box, face.mapping)
+                    assert type(w) is int
+                    assert face == checked and hash(face) == hash(checked)
+                    assert repr(face) == repr(checked)
+                    assert face.free_axes == checked.free_axes
+                    assert face.orientation == 1 and face.k == k - 1
+                    assert all(type(e) is float or type(e) is tuple and
+                               all(type(v) is float for v in e) for e in face.box)
 
     def test_stokes_builds_no_pullback_and_one_map_batch(self, monkeypatch):
         maps = importlib.import_module("extcalc.maps")
@@ -651,3 +678,68 @@ class TestChainGroups:
                 integrate(DF(2, 1, {(0,): x}), Chain([(w, square)]))
             with pytest.raises(DimensionMismatch):
                 integrate(DF(3, 2, {(0, 1): x}), Chain([(w, square)]))
+
+
+class TestBitIdentityPin:
+    """The repr of every value and fault text of a seeded corpus of fresh
+    Stokes checks, and of the fault cases above, hashed: a change to how
+    evaluators are built must leave every bit as it was."""
+
+    PIN = "4dbacaaa8f0f77eec6dfab3e3770259039e71e2720753b4f18b1f8537b512a7c"
+
+    @staticmethod
+    def _coefficient(rng, axes):
+        monomials = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((str(rng.randint(1, 5)), f"{rng.randint(1, 9)}/{rng.randint(2, 13)}"))
+            factors = [rng.choice(axes) for _ in range(rng.randint(0, 2))]
+            monomials.append("*".join([c] + factors))
+        text = " + ".join(monomials)
+        if rng.random() < 0.2:
+            # a quotient whose denominator stays >= 2 on the charts below
+            text = f"({text})/(2 + {rng.choice(axes)}^2)"
+        return text
+
+    @classmethod
+    def _stokes_corpus(cls, seed, count):
+        from extcalc.parsing import parse_form, parse_map
+
+        rng = make_rng(seed)
+        axes, params = ("x", "y", "z"), ("u", "v", "w")
+        for _ in range(count):
+            k = rng.randint(1, 3)
+            terms = []
+            for idx in itertools.combinations(range(k), k - 1):
+                basis = "/\\".join(f"d{axes[i]}" for i in idx)
+                coeff = cls._coefficient(rng, axes[:k])
+                terms.append(f"({coeff})*{basis}" if basis else coeff)
+            comps = []
+            for p in params[:k]:
+                comp = p
+                for _ in range(rng.randint(1, 2)):
+                    a, b = rng.choice(params[:k]), rng.choice(params[:k])
+                    comp += f" {rng.choice('+-')} 1/{rng.choice((8, 12, 16))}*{a}*{b}"
+                comps.append(comp)
+            chart = f"map({', '.join(params[:k])}) = {'; '.join(comps)}"
+            cell = Cell(((0.0, 1.0),) * k, parse_map(chart))
+            yield parse_form(" + ".join(terms), k), cell, rng.randint(5, 10)
+
+    def _lines(self):
+        for form, cell, q in self._stokes_corpus(2026, 150):
+            lhs, rhs, _ = stokes_check(form, cell, q)
+            yield repr((lhs, rhs))
+        for name in TestChainGroups.FAULTS:
+            form, chain, q = TestChainGroups._fault_case(name)
+            try:
+                value = integrate(form, chain, q)
+            except (SingularityError, OverflowError) as err:
+                node = getattr(err.__cause__, "node", None)
+                yield repr((type(err).__name__, str(err), node,
+                            node and [math.copysign(1.0, c) for c in node]))
+            else:
+                yield repr(value)
+
+    def test_values_and_fault_texts_are_pinned(self):
+        digest = hashlib.sha256("\n".join(self._lines()).encode()).hexdigest()
+        assert digest == self.PIN
+

@@ -235,6 +235,40 @@ def test_batch_computes_a_shared_atom_once(monkeypatch):
         assert np.max(np.abs(row - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
 
 
+def test_coefficients_that_round_to_one_double_share_a_register():
+    # 1/3 and 1/3 + 10^-30 differ exactly but round to one double: one step
+    # computes both terms, with the bits of either alone
+    third, near = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
+    assert float(third) == float(near) and third != near
+    y = S.variable(1)
+    exprs = [third * x * y, near * x * y, near * x * y + 1]
+    width, steps, outputs = S._tape(exprs)
+    assert outputs[0] == outputs[1]
+    assert sum(op == "*" and c == float(third) for op, c, _ in steps) == 1
+    cols, _ = flat_rule(BOXES[1], 5)
+    values = Batch(exprs).evaluate(cols)
+    for e, row in zip(exprs, values):
+        assert np.array_equal(row, Batch([e]).evaluate(cols)[0])
+    point = (0.3, -1.7)
+    assert Batch(exprs).at(point) == tuple(Batch([e]).at(point)[0] for e in exprs)
+
+
+def test_coefficients_that_round_to_zero_keep_their_sign():
+    # +-10^-400 both round to a zero, which compare equal as floats: each
+    # keeps its own register and the sign of its zero
+    tiny = Fraction(1, 10**400)
+    exprs = [tiny * x, -tiny * x, -tiny * x, tiny * x * x]
+    _, _, outputs = S._tape(exprs)
+    assert outputs[0] != outputs[1] and outputs[1] == outputs[2]
+    signs = [1.0, -1.0, -1.0, 1.0]
+    values = Batch(exprs).at((2.0,))
+    assert values == (0.0, -0.0, -0.0, 0.0)
+    assert [math.copysign(1.0, v) for v in values] == signs
+    cols, _ = flat_rule(((0.5, 2.0),), 4)  # x > 0, so a product keeps the sign
+    for row, sign in zip(Batch(exprs).evaluate(cols), signs):
+        assert np.all(row == 0.0) and np.all(np.copysign(1.0, row) == sign)
+
+
 def test_column_guards_give_nan_where_the_scalar_evaluator_raises():
     # no warning either: this module turns a RuntimeWarning into an error
     batch = Batch([S.ln(x), 1 / x, S.sqrt(x), x])
