@@ -88,17 +88,6 @@ class DifferentialForm:
         self.terms = clean
         self._batches = {}
 
-    @staticmethod
-    def _of(n, k, terms):
-        """The form of the terms an operation on valid forms gives, built
-        without the checks, which it passes: increasing indices of axes
-        below n, coefficients of those axes, and no nonzero term where
-        k > n.  Only zero coefficients are dropped."""
-        form = object.__new__(DifferentialForm)
-        form.n, form.k, form._batches = n, k, {}
-        form.terms = {idx: c for idx, c in terms.items() if not c.is_zero()}
-        return form
-
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -115,7 +104,7 @@ class DifferentialForm:
         sign, idx = canonicalize_index(indices, n)
         if sign == 0:
             return DifferentialForm.zero(n, len(indices))
-        return DifferentialForm._of(n, len(idx), {idx: as_expr(sign)})
+        return DifferentialForm(n, len(idx), {idx: as_expr(sign)})
 
     # -- structure ------------------------------------------------------------
 
@@ -164,19 +153,21 @@ class DifferentialForm:
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             _add_term(terms, idx, c)
-        return DifferentialForm._of(self.n, self.k, terms)
+        return DifferentialForm(self.n, self.k, terms)
 
     def __neg__(self):
-        return DifferentialForm._of(self.n, self.k, {i: -c for i, c in self.terms.items()})
+        return DifferentialForm(
+            self.n, self.k, {i: -c for i, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         scalar = as_expr(scalar)
-        # a scalar of an axis outside R^n goes to the checks, which refuse it
-        make = DifferentialForm if scalar.max_axis() >= self.n else DifferentialForm._of
-        return make(self.n, self.k, {i: c * scalar for i, c in self.terms.items()})
+        return DifferentialForm(
+            self.n, self.k, {i: c * scalar for i, c in self.terms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -195,7 +186,7 @@ class DifferentialForm:
                 if sign:
                     c = c1 * c2
                     _add_term(out, idx, c if sign > 0 else -c)
-        return DifferentialForm._of(self.n, self.k + other.k, out)
+        return DifferentialForm(self.n, self.k + other.k, out)
 
     def d(self) -> "DifferentialForm":
         """d(c dx_I) = sum over j not in I of (dc/dx_j) dx_j /\\ dx_I; only the
@@ -206,7 +197,7 @@ class DifferentialForm:
                 sign, new_idx = canonicalize_index((j,) + idx)
                 dc = c.differentiate(j)
                 _add_term(out, new_idx, dc if sign > 0 else -dc)
-        return DifferentialForm._of(self.n, self.k + 1, out)
+        return DifferentialForm(self.n, self.k + 1, out)
 
     def is_closed(self) -> bool:
         return self.d().is_zero()

@@ -37,7 +37,7 @@ import marshal
 import math
 import threading
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import groupby
 
 from .cells import Cell, Chain, free_axes, quad_points
 from .errors import DegreeError, DimensionMismatch, SingularityError
@@ -172,7 +172,7 @@ def _integrals(form: DifferentialForm, cells, q: int) -> list:
         values *= weights
         # summed along the fast axis, as np.sum sums one cell alone
         sums = values.reshape(len(cells), -1).sum(axis=1).tolist()
-        faulty = [False] * len(cells) if finite.all() else ~finite.reshape(len(cells), -1).all(1)
+        faulty = ~finite.reshape(len(cells), -1).all(1)
         out = []
         for part, free, need in runs:
             for i in range(part.start, part.stop):
@@ -203,21 +203,17 @@ def _integrals(form: DifferentialForm, cells, q: int) -> list:
 def _plan(zero, terms, frees):
     """The runs of cells with one set of free axes (frees lists each cell's)
     as (cells, free axes, needed terms), and the terms some run needs.  A
-    term is needed unless its minor is identically zero for want of nonzero
-    entries: unless some permutation p of the free columns has zero[i][p_i]
-    false for each of its rows i (past four columns, ``_minors`` decides)."""
+    term is needed unless ``_minors`` over the zero pattern finds its minor
+    identically zero for want of nonzero entries."""
+    needs = {}
+    for free in set(frees):
+        shape = _minors(lambda i, j: None if zero[i][j] else 1, list(terms), free)
+        needs[free] = tuple(t for t, s in zip(terms, shape) if s is not None)
     runs = []
     for free, run in groupby(range(len(frees)), key=frees.__getitem__):
         run = list(run)
-        if len(free) > 4:
-            shape = _minors(lambda i, j: None if zero[i][j] else 1, list(terms), free)
-            need = tuple(t for t, s in zip(terms, shape) if s is not None)
-        else:
-            need = tuple(t for t in terms if any(all(not zero[i][j] for i, j in zip(t, p))
-                                                 for p in permutations(free)))
-        runs.append((slice(run[0], run[-1] + 1), free, need))
-    live = {t for _, _, need in runs for t in need}
-    return tuple(runs), tuple(t for t in terms if t in live)
+        runs.append((slice(run[0], run[-1] + 1), free, needs[free]))
+    return tuple(runs), tuple(t for t in terms if any(t in need for need in needs.values()))
 
 
 def _finite_sum(total: float) -> float:

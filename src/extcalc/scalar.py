@@ -145,7 +145,6 @@ def _mono_key(m):
     return tuple((a.key, e) for a, e in m)
 
 
-@functools.lru_cache(maxsize=1 << 12)  # kept per monomial, not rebuilt per sort
 def _grlex(m):
     """A deterministic total order for evaluation (not multiplicative)."""
     return (_mono_degree(m), _mono_key(m))
