@@ -2,15 +2,20 @@
 
 A script names its rows, ``name -> (unit, units per call, thunk)``, where the
 unit is a time per node, operation or call ("ns/node", "us/op", "ms"), and
-hands them to ``main``.  With ``--before OLD/src`` each of ``rounds`` rounds
-runs one measuring process per side, alternating which side goes first, with
-PYTHONPATH pointing at that side's ``src``; the script then writes
-``BENCH_<topic>.json``.  A measuring process (``--measure``) builds every
-row's inputs, calls the row once untimed, so code generation and caches are
-warm, then times ``repeat`` calls with ``time.perf_counter``.  For every row
-and side the output holds the number of timed calls and their min and median,
-and every row the before/after ratios of both: on a shared host the medians
-wander with the load, so a ratio by min may be the one that resolves.
+hands them to ``main``.  With ``--before OLD/src`` one measuring process per
+side starts once (``--serve``), with PYTHONPATH pointing at that side's
+``src``; it builds every row's inputs and calls each row once untimed, so
+code generation and caches are warm.  Then for ``rounds`` rounds, row by
+row, each side times a batch of ``repeat`` calls with
+``time.perf_counter``, the two sides of a row one right after the other and
+the side that goes first alternating, so a burst of host load hits both
+sides of a row rather than a whole row of one side.  The script then writes
+``BENCH_<topic>.json``.  For every row and side the output holds the number
+of timed calls and their min and median, and every row the before/after
+ratios of both: on a shared host the medians wander with the load, so a
+ratio by min may be the one that resolves.  ``--measure`` times every row
+once in the importable extcalc and prints the times, as a quick check that
+every row runs.
 """
 
 from __future__ import annotations
@@ -27,39 +32,72 @@ import time
 _PER_SECOND = {"ns": 1e9, "us": 1e6, "ms": 1e3}
 
 
+def _time(row, count):
+    """count timed calls of a row's thunk, each in the row's unit."""
+    unit, units, thunk = row
+    scale = _PER_SECOND[unit.split("/")[0]] / units
+    times = []
+    for _ in range(count):
+        start = time.perf_counter()
+        thunk()
+        times.append((time.perf_counter() - start) * scale)
+    return times
+
+
 def measure(rows, repeat):
     out = {}
-    for name, (unit, units, thunk) in rows.items():
+    for name, row in rows.items():
+        unit, _, thunk = row
         thunk()
-        scale = _PER_SECOND[unit.split("/")[0]] / units
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            thunk()
-            times.append((time.perf_counter() - start) * scale)
-        out[name] = {"unit": unit, "times": times}
+        out[name] = {"unit": unit, "times": _time(row, repeat)}
     return out
 
 
-def _run_side(script, src):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, script, "--measure"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def serve(rows):
+    """The measuring side of ``compare``: call every row once untimed,
+    print the rows' units, then answer each request line "name count" on
+    stdin with the times of count calls, until stdin closes."""
+    for _, _, thunk in rows.values():
+        thunk()
+    print(json.dumps({name: row[0] for name, row in rows.items()}), flush=True)
+    for line in sys.stdin:
+        name, count = line.split()
+        print(json.dumps(_time(rows[name], int(count))), flush=True)
+
+
+def _ask(proc, request):
+    if request is not None:
+        proc.stdin.write(request + "\n")
+        proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"a measuring process exited (code {proc.wait()})")
+    return json.loads(line)
 
 
 def compare(script, before, after, rounds, repeat):
-    sides = {"before": before, "after": after}
-    times = {"before": {}, "after": {}}
-    units = {}
-    for r in range(rounds):
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for side in order:
-            for name, row in _run_side(script, sides[side]).items():
-                units[name] = row["unit"]
-                times[side].setdefault(name, []).extend(row["times"])
+    procs = {}
+    try:
+        for side, src in (("before", before), ("after", after)):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            procs[side] = subprocess.Popen(
+                [sys.executable, script, "--serve"], env=env, text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        units = {side: _ask(proc, None) for side, proc in procs.items()}
+        if units["before"] != units["after"]:
+            raise RuntimeError("the two sides built different rows")
+        units = units["after"]
+        times = {"before": {}, "after": {}}
+        for r in range(rounds):
+            for i, name in enumerate(units):
+                order = ("before", "after") if (r + i) % 2 == 0 else ("after", "before")
+                for side in order:
+                    times[side].setdefault(name, []).extend(
+                        _ask(procs[side], f"{name} {repeat}"))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
     rows = {}
     for name, unit in units.items():
         entry = {"unit": unit}
@@ -73,9 +111,11 @@ def compare(script, before, after, rounds, repeat):
     return {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
-        "method": f"{rounds} rounds of one measuring process per side, alternating "
-                  f"which side runs first, {repeat} timed calls per row per process "
-                  "after one untimed call; wall time by time.perf_counter",
+        "method": f"one measuring process per side for the whole run; {rounds} rounds, "
+                  f"in each every row times a batch of {repeat} calls on one side and "
+                  "then on the other, the side that goes first alternating from row to "
+                  "row and round to round; one untimed call per row first; wall time "
+                  "by time.perf_counter",
         "rows": rows,
     }
 
@@ -87,10 +127,15 @@ def main(doc, script, topic, rows, rounds, repeat, argv=None):
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--measure", action="store_true",
                     help="time the importable extcalc and print JSON")
+    ap.add_argument("--serve", action="store_true",
+                    help="answer timing requests on stdin (the measuring side of --before)")
     ap.add_argument("--before", help="src directory of the old checkout")
     args = ap.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(rows(), repeat)))
+        return
+    if args.serve:
+        serve(rows())
         return
     if not args.before:
         ap.error("--before is required unless --measure is given")

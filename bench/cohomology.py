@@ -3,9 +3,10 @@
     python bench/cohomology.py --before OLD/src
 
 Run it from the root of a checkout; OLD is a checkout of the commit to
-compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
-measuring process per side and times REPEAT calls of each row after one
-untimed call.  A row reports the time per call:
+compare against.  ``bench/beforeafter.py`` starts one measuring process
+per side, which calls each row once untimed; then for ROUNDS rounds both
+sides time a batch of REPEAT calls of each row in turn.  A row reports the
+time per call:
 
 * sphere_s3, sphere_s5, sphere_s7: ``cech_betti`` of the minimal nerve of
   S^n (the boundary of the (n+1)-simplex; S^7 has coboundaries up to

@@ -3,10 +3,10 @@
     python bench/quadrature.py --before OLD/src
 
 Run it from the root of a checkout; OLD is a checkout of the commit to
-compare against.  ``bench/beforeafter.py`` runs ROUNDS rounds of one
-measuring process per side and times REPEAT calls of each row after one
-untimed call (so the evaluation tapes of a reused map are built, as in a
-reused geometry).  The ``quadrature_*`` and ``stokes_half_ball`` rows
+compare against.  ``bench/beforeafter.py`` starts one measuring process
+per side, which calls each row once untimed (so the evaluation tapes of a
+reused map are built, as in a reused geometry); then for ROUNDS rounds
+both sides time a batch of REPEAT calls of each row in turn.  The ``quadrature_*`` and ``stokes_half_ball`` rows
 include what the integration path builds from the form on every call: the
 symbolic pullback on the "before" side of BENCH_integrate.json, a compiled
 batch of the form's coefficients on its "after" side and on both sides of
@@ -44,8 +44,8 @@ import random
 
 import beforeafter
 
-ROUNDS = 8
-REPEAT = 5
+ROUNDS = 40
+REPEAT = 2
 
 
 def _stokes_inputs(seed, count):

@@ -344,7 +344,8 @@ def cmd_degree(args):
     codomain = load_chain(args.codomain)
     testform = parse_form(args.form, codomain.ambient)
     value, nearest = mapping_degree(f, domain, codomain, testform, args.quad)
-    inputs = {"map": args.map, "domain": args.domain, "codomain": args.codomain, "tol": args.tol}
+    inputs = {"map": args.map, "domain": args.domain, "codomain": args.codomain,
+              "form": args.form, "quad": args.quad, "tol": args.tol}
     return _emit_integer(args, "degree", inputs, value, nearest)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .forms import DifferentialForm, angular_form, solid_angle_form
-from .integrate import _finite_sum, box_rule, integrate, integrate_cell
+from .integrate import _finite_sum, _layout, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
 from .scalar import first_node, variable
 
@@ -70,11 +70,13 @@ class Loop:
         return Loop(self.cell.flipped())
 
     def sample(self, count: int) -> np.ndarray:
+        """The loop's points at count evenly spaced parameters, a count x m
+        array; only the components are evaluated, not the Jacobian."""
         import numpy as np
 
         (a, b), = self.cell.box
         ts = np.linspace(a, b, count, endpoint=False)
-        return self.cell.mapping.columns([ts])[0].T
+        return self.cell.mapping.batch(0).evaluate([ts]).T
 
 
 _GUARD_SAMPLES = 1024
@@ -93,7 +95,8 @@ def winding_number(loop: Loop, spec=32):
     angular form divided by 2 pi.  A loop whose _GUARD_SAMPLES samples come
     within 1e-3 times its extent of the origin is rejected rather than
     integrated, as ``linking_number`` rejects loops, and the error names the
-    least sampled distance; so is a loop whose samples reach so far that
+    least sampled distance, the square root of one minimum of x^2 + y^2
+    over the samples; so is a loop whose samples reach so far that
     x^2 + y^2 overflows.
     """
     import numpy as np
@@ -101,9 +104,10 @@ def winding_number(loop: Loop, spec=32):
     if loop.ambient != 2:
         raise DimensionMismatch("winding numbers live in R^2")
     pts = loop.sample(_GUARD_SAMPLES)
+    x, y = pts.T
     with np.errstate(all="ignore"):
         bound = _MIN_DISTANCE_FACTOR * _loop_extent(pts)
-        gap = _min_distance(pts, np.zeros((1, 2)), bound)
+        gap = math.sqrt(float(np.min(x * x + y * y)))
     if gap < bound:
         raise SingularityError(f"loop comes within {gap:.3e} of the origin")
     reach = float(np.max(np.abs(pts)))
@@ -172,42 +176,77 @@ def _point(params):
     return [np.array([float(p)]) for p in params]
 
 
+def _at_point(vector) -> np.ndarray:
+    """A frame vector at the one node of ``_point`` as an array of 3."""
+    import numpy as np
+
+    return np.array([np.ravel(c)[0] for c in vector])
+
+
+def _cross(a, b):
+    """a x b for vectors given as lists of three arrays, as np.cross forms it."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _dot(a, b):
+    """a . b for vectors given as lists of three arrays, added left to right
+    as np.sum adds an axis of length 3."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _first_node(cols, bad):
+    """``first_node`` for a mask that broadcasts to the grid's shape."""
+    import numpy as np
+
+    if not bad.any():
+        return None
+    return first_node(cols, np.broadcast_to(bad, np.broadcast_shapes(*map(np.shape, cols))))
+
+
 def _surface_frame(cell: Cell, cols, order=1):
-    """Exact tangents r_s, r_t (3 x n arrays), the oriented unit normal and
-    the area element |r_s x r_t| at the nodes, and for order 2 also the
-    exact r_ss, r_st, r_tt, all from one batch of the map.  The first node
-    where the tangents are parallel relative to their lengths or one
-    vanishes, |r_s x r_t|^2 <= 1e-24 |r_s|^2 |r_t|^2 with a finite left
-    side, raises RankDeficientError naming that node, so the test does not
-    depend on the surface's scale; then the first with an area element that
-    is not finite raises SingularityError (with a finite jet, the frame is
-    finite exactly where the area element is)."""
+    """Exact tangents r_s, r_t, the oriented unit normal and the area
+    element |r_s x r_t| at the nodes, and for order 2 also the exact r_ss,
+    r_st, r_tt, all from one run of the map's batch.  A vector is a list of
+    its three components, and each value keeps the shape the tape gives it
+    on the open grid (a number where it is constant).  Where the jet is not
+    finite, ``Batch.check`` raises.  The first node where the tangents are
+    parallel relative to their lengths or one vanishes,
+    |r_s x r_t|^2 <= 1e-24 |r_s|^2 |r_t|^2 with a finite left side, raises
+    RankDeficientError naming that node, so the test does not depend on the
+    surface's scale; then the first with an area element that is not finite
+    raises SingularityError (with a finite jet, the frame is finite exactly
+    where the area element is)."""
     import numpy as np
 
     if cell.k != 2 or cell.mapping.n != 2 or cell.ambient != 3:
         raise DimensionMismatch("Gauss map needs an unpinned surface cell in R^3")
-    _, jac, *second = cell.mapping.columns(cols, order)
-    r_s, r_t = jac[:, 0], jac[:, 1]
+    batch = cell.mapping.batch(order)
     with np.errstate(all="ignore"):
-        cross = np.cross(r_s, r_t, axis=0)
-        square = np.sum(cross * cross, axis=0)
+        jet = batch.columns(cols)
+    batch.check(cols, jet)
+    # the components, the Jacobian row by row, then per component the
+    # second derivatives in the order ss, st, tt
+    r_s, r_t = list(jet[3:9:2]), list(jet[4:9:2])
+    with np.errstate(all="ignore"):
+        cross = _cross(r_s, r_t)
+        square = _dot(cross, cross)
         area = np.sqrt(square)
-        frame = (r_s, r_t, cell.orientation * cross / area, area)
-        flat = square <= 1e-24 * np.sum(r_s * r_s, axis=0) * np.sum(r_t * r_t, axis=0)
-    node = first_node(cols, flat & np.isfinite(square))
+        frame = [r_s, r_t, [cell.orientation * c / area for c in cross], area]
+        flat = square <= 1e-24 * _dot(r_s, r_s) * _dot(r_t, r_t)
+    node = _first_node(cols, flat & np.isfinite(square))
     if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
-    node = first_node(cols, ~np.isfinite(area))
+    node = _first_node(cols, ~np.isfinite(area))
     if node is not None:
         raise SingularityError(f"area element not finite at node {node}")
-    for h in second:
-        frame += (h[:, 0], h[:, 1], h[:, 2])
+    if order == 2:
+        frame += [list(jet[9 + i::3]) for i in range(3)]
     return frame
 
 
 def gauss_map(cell: Cell, params) -> np.ndarray:
     """Outward unit normal of an oriented surface cell at parameter values."""
-    return _surface_frame(cell, _point(params))[2][:, 0]
+    return _at_point(_surface_frame(cell, _point(params))[2])
 
 
 def shape_operator(cell: Cell, params) -> np.ndarray:
@@ -219,9 +258,9 @@ def shape_operator(cell: Cell, params) -> np.ndarray:
     import numpy as np
 
     r_s, r_t, normal, _, *second = _surface_frame(cell, _point(params), 2)
-    tangents = (r_s[:, 0], r_t[:, 0])
+    tangents, normal = (_at_point(r_s), _at_point(r_t)), _at_point(normal)
     first = [[a @ b for b in tangents] for a in tangents]
-    l, m, n = (r[:, 0] @ normal[:, 0] for r in second)
+    l, m, n = (_at_point(r) @ normal for r in second)
     return -np.linalg.solve(first, [[l, m], [m, n]])
 
 
@@ -247,26 +286,26 @@ class Surface:
 
 
 def _surface_integral(surface: Surface, spec, density) -> float:
-    """Quadrature of density(cell, grid) over every cell, on the open grid of
-    ``box_rule``, summed in order."""
+    """Quadrature of density(cell, grid) over every cell, on the open grid
+    and weights of its box that ``integrate._layout`` laid out and keeps,
+    the nodes of each cell summed as ``np.sum`` sums a flat column and the
+    cells in order."""
     import numpy as np
 
     q = quad_points(spec)
     total = 0.0
     for cell in surface.cells:
-        grid, weights = box_rule(cell.box, q)
+        grid, weights = _layout((cell.box,), q)
         with np.errstate(all="ignore"):
-            total += float(np.sum(weights.ravel() * density(cell, grid)))
+            total += float(np.sum((weights * density(cell, grid)).ravel()))
     return _finite_sum(total)
 
 
 def _curvature_density(cell: Cell, cols):
     """K dA at the nodes: K = (LN - M^2)/(EG - F^2) (do Carmo, Differential
     Geometry of Curves and Surfaces, 1976, section 3-3), EG - F^2 = dA^2."""
-    import numpy as np
-
     _, _, normal, area, *second = _surface_frame(cell, cols, 2)
-    l, m, n = (np.sum(r * normal, axis=0) for r in second)
+    l, m, n = (_dot(r, normal) for r in second)
     return (l * n - m * m) / area
 
 
@@ -287,7 +326,7 @@ def area_form_evaluator(cell: Cell):
     area form pulled back to the parameter box; integrating it over the box
     gives the (oriented) surface area: orientation * |r_s x r_t|.
     """
-    return lambda params: cell.orientation * float(_surface_frame(cell, _point(params))[3][0])
+    return lambda params: cell.orientation * _surface_frame(cell, _point(params))[3].item()
 
 
 def surface_area(surface: Surface, spec=24) -> float:
@@ -300,12 +339,10 @@ def _pullback_density(cell: Cell, cols):
     n = c/|c| and n_j = (c_j - n (n . c_j))/|c|, where
     c_s = r_ss x r_t + r_s x r_st and c_t = r_st x r_t + r_s x r_tt; the
     normal parts drop out of the determinant, leaving n . (c_s x c_t)/|c|^2."""
-    import numpy as np
-
     r_s, r_t, normal, area, r_ss, r_st, r_tt = _surface_frame(cell, cols, 2)
-    c_s = np.cross(r_ss, r_t, axis=0) + np.cross(r_s, r_st, axis=0)
-    c_t = np.cross(r_st, r_t, axis=0) + np.cross(r_s, r_tt, axis=0)
-    return np.sum(normal * np.cross(c_s, c_t, axis=0), axis=0) / (area * area)
+    c_s = [a + b for a, b in zip(_cross(r_ss, r_t), _cross(r_s, r_st))]
+    c_t = [a + b for a, b in zip(_cross(r_st, r_t), _cross(r_s, r_tt))]
+    return _dot(normal, _cross(c_s, c_t)) / (area * area)
 
 
 def gauss_map_area_pullback(surface: Surface, spec=24) -> float:
@@ -348,10 +385,11 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
             )
         pos1, vel1, w1 = _loop_tables(loop1, q)
         pos2, vel2, w2 = _loop_tables(loop2, q)
-        diff = pos1[:, None, :] - pos2[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        # det[g1', g2', diff] as the triple product diff . (g1' x g2')
-        triple = np.sum(np.cross(vel1[:, None, :], vel2[None, :, :]) * diff, axis=2)
+        # by components, each on the (q, q) plane of node pairs
+        diff = [a[:, None] - b for a, b in zip(pos1, pos2)]
+        dist = np.sqrt(_dot(diff, diff))
+        # det[g1', g2', diff] as the triple product (g1' x g2') . diff
+        triple = _dot(_cross(vel1[:, :, None], vel2[:, None, :]), diff)
         total = _finite_sum(float(np.sum(np.outer(w1, w2) * (triple / dist**3))))
     value = loop1.cell.orientation * loop2.cell.orientation * total / (4 * math.pi)
     return value, round(value)
@@ -402,17 +440,18 @@ def _runs(points: np.ndarray) -> np.ndarray:
 
 
 def _loop_tables(loop: Loop, q: int):
-    """Positions and velocities (q x m arrays) at the Gauss-Legendre nodes,
-    and the node weights."""
-    cols, weights = box_rule(loop.cell.box, q)
-    values, jac = loop.cell.mapping.columns(cols)
-    return values.T, jac[:, 0].T, weights
+    """Positions and velocities (m x q arrays) at the Gauss-Legendre nodes
+    of the layout ``integrate._layout`` keeps, and the node weights."""
+    grid, weights = _layout((loop.cell.box,), q)
+    values, jac = loop.cell.mapping.columns(grid)
+    return values, jac[:, 0], weights.ravel()
 
 
 def _loop_extent(points: np.ndarray) -> float:
     import numpy as np
 
-    return float(np.max(points.max(axis=0) - points.min(axis=0)))
+    cols = points.T  # the contiguous rows of the sampled coordinates
+    return float(np.max(cols.max(axis=1) - cols.min(axis=1)))
 
 
 def linking_integrand_symbolic(loop1: Loop, loop2: Loop) -> DifferentialForm:

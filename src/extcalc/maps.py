@@ -86,18 +86,12 @@ class SmoothMap:
             self._batches[order] = Batch(exprs)
         return self._batches[order]
 
-    def columns(self, cols, order=1):
-        """g, its Jacobian and for order 2 its second derivatives at the
-        nodes of the columns (one float array per parameter): arrays of
-        shape (m, N), (m, n, N) and (m, n(n+1)/2, N), the last with the
-        pairs j <= l in the order of ``batch``, from ``Batch.evaluate``, so
-        a failure names its node."""
-        values = self.batch(order).evaluate(cols)
-        m, n = self.m, self.n
-        out = [values[:m], values[m:m + m * n].reshape(m, n, -1)]
-        if order == 2:
-            out.append(values[m + m * n:].reshape(m, n * (n + 1) // 2, -1))
-        return out
+    def columns(self, cols):
+        """g and its Jacobian at the nodes of the columns (one float array
+        per parameter): arrays of shape (m, N) and (m, n, N), from
+        ``Batch.evaluate``, so a failure names its node."""
+        values = self.batch().evaluate(cols)
+        return values[:self.m], values[self.m:].reshape(self.m, self.n, -1)
 
     def jacobian_determinant(self) -> ScalarExpr:
         if self.n != self.m:

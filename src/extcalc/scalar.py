@@ -1013,9 +1013,9 @@ class Batch:
     that axis.  ``columns`` never raises: its guards give nan wherever
     ``at`` would raise SingularityError, nan survives every later
     operation, and an overflow gives inf.  Call it under
-    ``np.errstate(all="ignore")`` and check the values, or call
-    ``evaluate``, which does both and names the first node whose value is
-    not finite.
+    ``np.errstate(all="ignore")`` and pass the values to ``check``, which
+    names the first node whose value is not finite, or call ``evaluate``,
+    which does both.
     """
 
     __slots__ = ("exprs", "_tape")
@@ -1033,30 +1033,44 @@ class Batch:
     def evaluate(self, cols):
         """The values of ``columns`` at every node, an array of shape
         (len(exprs), nodes) with the nodes in the order of
-        ``flat_nodes(cols)``.  Where a value is not finite, ``at`` runs once,
-        at the first such node: its SingularityError or OverflowError
-        raises, with the node on a SingularityError, and if it raises
-        nothing, a SingularityError names the node."""
+        ``flat_nodes(cols)``, after ``check``."""
         import numpy as np
 
         with np.errstate(all="ignore"):
             values = self.columns(cols)
+        self.check(cols, values)
         # a constant expression evaluates to a number, and an
         # expression of some axes to an array of their shape
         shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
         out = np.empty((len(values),) + shape)
         for row, v in zip(out, values):
             row[...] = v
-        out = out.reshape(len(values), math.prod(shape))
-        node = first_node(cols, ~np.isfinite(out).all(axis=0))
-        if node is not None:
-            try:
-                self.at(node)
-            except SingularityError as err:
-                err.node = node
-                raise
-            raise SingularityError(f"value not finite at node {node}")
-        return out
+        return out.reshape(len(values), math.prod(shape))
+
+    def check(self, cols, values):
+        """Raise where some of the values of ``columns(cols)``, each tested
+        at its own shape, is not finite: ``at`` runs once, at the first such
+        node in the order of ``flat_nodes(cols)``, and its SingularityError
+        or OverflowError raises, with the node on a SingularityError; if it
+        raises nothing, a SingularityError names the node."""
+        import numpy as np
+
+        # a value's dot product with itself is finite where every entry is,
+        # and one that overflows only sends the check to the mask below
+        if all(math.isfinite(np.vdot(v, v)) for v in values):
+            return
+        bad = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)), bool)
+        for v in values:
+            bad |= ~np.isfinite(v)
+        node = first_node(cols, bad)
+        if node is None:
+            return
+        try:
+            self.at(node)
+        except SingularityError as err:
+            err.node = node
+            raise
+        raise SingularityError(f"value not finite at node {node}")
 
 
 def flat_nodes(grid) -> list:

@@ -251,6 +251,16 @@ class TestVerbs:
         assert code == 0
         assert "(integer 2," in out
 
+    def test_degree_json_records_its_inputs(self, capsys, circle_file):
+        argv = ["degree", "--map", "map(x, y) = x^2 - y^2; 2*x*y", "--domain", circle_file,
+                "--codomain", circle_file, "--form", "x*dy - y*dx", "--quad", "12", "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        assert inputs == {"map": "map(x, y) = x^2 - y^2; 2*x*y", "domain": circle_file,
+                          "codomain": circle_file, "form": "x*dy - y*dx", "quad": 12,
+                          "tol": 1e-8}
+
     def test_gauss_bonnet(self, capsys, tmp_path):
         sphere = write_json(
             tmp_path / "sphere.json",

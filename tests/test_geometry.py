@@ -1,5 +1,6 @@
 """Winding, linking, mapping degree, curvature, Gauss-Bonnet."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -352,6 +353,16 @@ class TestGaussBonnet:
             gauss_bonnet_check(surface, 5)
         assert str(info.value) == f"rank-deficient node (0.0, {first_v})"
 
+    def test_rank_deficient_node_of_a_one_axis_frame_is_named(self):
+        # (s^3, t, 0) is flat where s = 0, and its frame varies along s only
+        s, t = S.variable(0), S.variable(1)
+        cubic = Cell(((-1.0, 1.0), (0.0, 2.0)), SmoothMap(2, 3, [s * s * s, t, S.constant(0)]))
+        first_t = 1.0 + float(np.polynomial.legendre.leggauss(5)[0][0])
+        for integral in (gauss_bonnet_check, surface_area):
+            with pytest.raises(RankDeficientError) as info:
+                integral(Surface([cubic], 1), 5)
+            assert str(info.value) == f"rank-deficient node (0.0, {first_t})"
+
     def test_overflowing_sum_is_refused(self):
         # a sphere of radius 10^200: its area element overflows to inf at
         # every node, so the first node is named
@@ -393,6 +404,11 @@ class TestAreas:
     def test_flat_square(self):
         evaluator = area_form_evaluator(sh.flat_square_cell())
         assert abs(evaluator((0.25, 0.75)) - 1.0) <= 1e-12
+
+    def test_flat_square_has_zero_shape_operator(self):
+        # every second derivative and the area element are constants
+        assert shape_operator(sh.flat_square_cell(), (0.25, 0.75)).tolist() == [[0.0, 0.0]] * 2
+        assert gauss_curvature(sh.flat_square_cell(), (0.25, 0.75)) == 0.0
 
     def test_torus_area(self):
         surface = Surface([sh.torus_cell(2, 1)], chi=0)
@@ -553,3 +569,61 @@ class TestLinking:
         message = "^the weighted quadrature sum is not a finite number$"
         with pytest.raises(SingularityError, match=message):
             linking_number(l1, l2, 32)
+
+
+class TestPinnedGeometry:
+    """Every value and fault text of the curvature, area, winding and
+    linking paths, hashed: a change to how they compute must keep them
+    bit-identical."""
+
+    PIN = "97c71bde5df54e3c6397f245af279c6d651627410f71033c1caba2a9ddebf643"
+    ORDERS = (2, 5, 8, 24, 33, 64)
+
+    @staticmethod
+    def _outcome(call, *args):
+        try:
+            return repr(call(*args))
+        except (SingularityError, RankDeficientError) as err:
+            return repr((type(err).__name__, str(err)))
+
+    def _lines(self):
+        s, t = S.variable(0), S.variable(1)
+        cylinder = Cell(((0.0, TWO_PI), (0.0, 1.0)), SmoothMap(2, 3, [S.cos(s), S.sin(s), t]))
+        plane = Cell(((0.0, 1.0), (0.0, 1.0)), SmoothMap(2, 3, [s, t, S.constant(0)]))
+        surfaces = [Surface([sh.sphere_cell()], 2), Surface([sh.torus_cell()], 0),
+                    Surface([sh.ellipsoid_cell()], 2), Surface([cylinder], 0),
+                    Surface([plane], 1)]
+        for surface in surfaces:
+            for q in self.ORDERS:
+                for integral in (gauss_bonnet_check, surface_area, gauss_map_area_pullback):
+                    yield self._outcome(integral, surface, q)
+        for k in range(-3, 5):
+            yield self._outcome(winding_number, Loop(sh.circle_cell(k=k)))
+        th = S.variable(0)
+        ring = S.constant(Fraction(5, 2)) + S.cos(3 * th)
+        loops = [
+            *TestLinking().hopf_pair(),
+            circle_loop_3d(center=(10, 0, 0), plane="xz"),
+            Loop(Cell(((0.0, TWO_PI),), SmoothMap(1, 3, [
+                3 * S.cos(th), 2 * S.sin(th), S.constant(Fraction(1, 2))]))),
+            Loop(Cell(((0.0, TWO_PI),), SmoothMap(1, 3, [
+                ring * S.cos(2 * th), ring * S.sin(2 * th), S.sin(3 * th)]))),
+        ]
+        for a in loops:
+            for b in loops:
+                if a is not b:
+                    for q in (8, 32, 33, 64):
+                        yield self._outcome(linking_number, a, b, q)
+        # touching loops, a loop through the origin, a rank-deficient node
+        # and an area element that is not finite
+        touching = circle_loop_3d(center=(2 - Fraction(1, 100000), 0, 0), plane="xz")
+        yield self._outcome(linking_number, loops[0], touching, 32)
+        yield self._outcome(winding_number, Loop(sh.circle_cell(center=(1, 0))))
+        cone = SmoothMap(2, 3, [s * S.cos(t), s * S.sin(t), s])
+        yield self._outcome(gauss_bonnet_check,
+                            Surface([Cell(((-1.0, 1.0), (0.0, TWO_PI)), cone)], 0), 5)
+        yield self._outcome(surface_area, Surface([sh.sphere_cell(10**200)], 2), 8)
+
+    def test_values_and_fault_texts_are_pinned(self):
+        digest = hashlib.sha256("\n".join(self._lines()).encode()).hexdigest()
+        assert digest == self.PIN
