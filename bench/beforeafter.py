@@ -65,10 +65,7 @@ def serve(rows):
         print(json.dumps(_time(rows[name], int(count))), flush=True)
 
 
-def _ask(proc, request):
-    if request is not None:
-        proc.stdin.write(request + "\n")
-        proc.stdin.flush()
+def _reply(proc):
     line = proc.stdout.readline()
     if not line:
         raise RuntimeError(f"a measuring process exited (code {proc.wait()})")
@@ -83,17 +80,18 @@ def compare(script, before, after, rounds, repeat):
             procs[side] = subprocess.Popen(
                 [sys.executable, script, "--serve"], env=env, text=True,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        units = {side: _ask(proc, None) for side, proc in procs.items()}
-        if units["before"] != units["after"]:
+        built = {side: _reply(proc) for side, proc in procs.items()}
+        if built["before"] != built["after"]:
             raise RuntimeError("the two sides built different rows")
-        units = units["after"]
+        units = built["after"]
         times = {"before": {}, "after": {}}
         for r in range(rounds):
             for i, name in enumerate(units):
                 order = ("before", "after") if (r + i) % 2 == 0 else ("after", "before")
                 for side in order:
-                    times[side].setdefault(name, []).extend(
-                        _ask(procs[side], f"{name} {repeat}"))
+                    procs[side].stdin.write(f"{name} {repeat}\n")
+                    procs[side].stdin.flush()
+                    times[side].setdefault(name, []).extend(_reply(procs[side]))
     finally:
         for proc in procs.values():
             proc.stdin.close()
