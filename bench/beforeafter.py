@@ -6,16 +6,17 @@ hands them to ``main``.  With ``--before OLD/src`` one measuring process per
 side starts once (``--serve``), with PYTHONPATH pointing at that side's
 ``src``; it builds every row's inputs and calls each row once untimed, so
 code generation and caches are warm.  Then for ``rounds`` rounds, row by
-row, each side times a batch of ``repeat`` calls with
-``time.perf_counter``, the two sides of a row one right after the other and
-the side that goes first alternating, so a burst of host load hits both
-sides of a row rather than a whole row of one side.  The script then writes
-``BENCH_<topic>.json``.  For every row and side the output holds the number
-of timed calls and their min and median, and every row the before/after
-ratios of both: on a shared host the medians wander with the load, so a
-ratio by min may be the one that resolves.  ``--measure`` times every row
-once in the importable extcalc and prints the times, as a quick check that
-every row runs.
+row, each side makes one untimed call and then times a batch of ``repeat``
+calls with ``time.perf_counter``, the two sides of a row one right after
+the other and the side that goes first alternating, so a burst of host load
+hits both sides of a row rather than a whole row of one side.  The untimed
+call takes the wake-up after the request's pipe round trip, so no timed
+call is a cold one.  The script then writes ``BENCH_<topic>.json``.  For
+every row and side the output holds the number of timed calls and their min
+and median, and every row the before/after ratios of both: on a shared host
+the medians wander with the load, so a ratio by min may be the one that
+resolves.  ``--serve < /dev/null`` builds and calls every row once in the
+importable extcalc and exits, as a quick check that every row runs.
 """
 
 from __future__ import annotations
@@ -44,24 +45,17 @@ def _time(row, count):
     return times
 
 
-def measure(rows, repeat):
-    out = {}
-    for name, row in rows.items():
-        unit, _, thunk = row
-        thunk()
-        out[name] = {"unit": unit, "times": _time(row, repeat)}
-    return out
-
-
 def serve(rows):
     """The measuring side of ``compare``: call every row once untimed,
     print the rows' units, then answer each request line "name count" on
-    stdin with the times of count calls, until stdin closes."""
+    stdin with one untimed call and the times of count calls after it,
+    until stdin closes."""
     for _, _, thunk in rows.values():
         thunk()
     print(json.dumps({name: row[0] for name, row in rows.items()}), flush=True)
     for line in sys.stdin:
         name, count = line.split()
+        rows[name][2]()
         print(json.dumps(_time(rows[name], int(count))), flush=True)
 
 
@@ -110,10 +104,10 @@ def compare(script, before, after, rounds, repeat):
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
         "method": f"one measuring process per side for the whole run; {rounds} rounds, "
-                  f"in each every row times a batch of {repeat} calls on one side and "
-                  "then on the other, the side that goes first alternating from row to "
-                  "row and round to round; one untimed call per row first; wall time "
-                  "by time.perf_counter",
+                  f"in each every row makes one untimed call and times a batch of "
+                  f"{repeat} calls on one side and then on the other, the side that goes "
+                  "first alternating from row to row and round to round; one untimed "
+                  "call per row before the first round; wall time by time.perf_counter",
         "rows": rows,
     }
 
@@ -123,20 +117,15 @@ def main(doc, script, topic, rows, rounds, repeat, argv=None):
     docstring is ``doc``; ``rows`` is a function that imports extcalc and
     returns the rows."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
-    ap.add_argument("--measure", action="store_true",
-                    help="time the importable extcalc and print JSON")
     ap.add_argument("--serve", action="store_true",
                     help="answer timing requests on stdin (the measuring side of --before)")
     ap.add_argument("--before", help="src directory of the old checkout")
     args = ap.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure(rows(), repeat)))
-        return
     if args.serve:
         serve(rows())
         return
     if not args.before:
-        ap.error("--before is required unless --measure is given")
+        ap.error("--before is required unless --serve is given")
     result = compare(script, args.before, "src", rounds, repeat)
     with open(f"BENCH_{topic}.json", "w") as fh:
         json.dump(result, fh, indent=2)

@@ -5,7 +5,8 @@
 Run it from the root of a checkout; OLD is a checkout of the commit to
 compare against.  ``bench/beforeafter.py`` starts one measuring process
 per side, which calls each row once untimed; then for ROUNDS rounds both
-sides time a batch of REPEAT calls of each row in turn.  A row reports the
+sides time a batch of REPEAT calls of each row in turn, each batch after
+one untimed call.  A row reports the
 time per call:
 
 * sphere_s3, sphere_s5, sphere_s7: ``cech_betti`` of the minimal nerve of

@@ -6,8 +6,10 @@ Run it from the root of a checkout; OLD is a checkout of the commit to
 compare against.  ``bench/beforeafter.py`` starts one measuring process
 per side, which calls each row once untimed (so the evaluation tapes of a
 reused map are built, as in a reused geometry); then for ROUNDS rounds
-both sides time a batch of REPEAT calls of each row in turn.  The ``quadrature_*`` and ``stokes_half_ball`` rows
-include what the integration path builds from the form on every call: the
+both sides time a batch of REPEAT calls of each row in turn, each batch
+after one untimed call, so that no timed call is the first after the
+process waited for its request.  The ``quadrature_*`` and
+``stokes_half_ball`` rows include what the integration path builds from the form on every call: the
 symbolic pullback on the "before" side of BENCH_integrate.json, a compiled
 batch of the form's coefficients on its "after" side and on both sides of
 BENCH_guard.json, and nothing on the "after" side of BENCH_grid.json and on

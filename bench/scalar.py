@@ -5,7 +5,8 @@
 Run it from the root of a checkout; OLD is a checkout of the commit to
 compare against.  ``bench/beforeafter.py`` starts one measuring process
 per side, which calls each row once untimed; then for ROUNDS rounds both
-sides time a batch of REPEAT calls of each row in turn.  The inputs come
+sides time a batch of REPEAT calls of each row in turn, each batch after
+one untimed call.  The inputs come
 from ``perfbench/gen.py`` with a fixed seed:
 COUNT coefficients of every kind it makes (polynomials with rational
 coefficients, exp, sin, cos, one quotient, sqrt) on R^2 and R^3, forms of

@@ -627,3 +627,22 @@ class TestPinnedGeometry:
     def test_values_and_fault_texts_are_pinned(self):
         digest = hashlib.sha256("\n".join(self._lines()).encode()).hexdigest()
         assert digest == self.PIN
+
+    def test_guard_samples_components_only(self):
+        # r = 2 + sqrt(1 + cos th) is finite everywhere, but its derivative
+        # is not at th = pi, which is guard sample 512 of 1024.  The guards
+        # sample components only, so they pass; an even order has no node
+        # at pi and integrates, an odd one puts its middle node there.
+        th = S.variable(0)
+        r = 2 + S.sqrt(1 + S.cos(th))
+        plane = Loop(Cell(((0.0, TWO_PI),), SmoothMap(1, 2, [r * S.cos(th), r * S.sin(th)])))
+        space = Loop(Cell(((0.0, TWO_PI),), SmoothMap(1, 3, [
+            r * S.cos(th), r * S.sin(th), S.constant(0)])))
+        far = Loop(Cell(((0.0, TWO_PI),), SmoothMap(1, 3, [
+            S.constant(0), 5 + S.cos(th), S.sin(th)])))
+        assert winding_number(plane, 32) == (1.0, 1)
+        assert repr(linking_number(space, far, 32)) == "(0.0008048486776075095, 0)"
+        with pytest.raises(SingularityError, match="quadrature node"):
+            winding_number(plane, 33)
+        with pytest.raises(SingularityError, match="division by zero"):
+            linking_number(space, far, 33)
