@@ -13,14 +13,9 @@ Under-determined data is reported, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import InconsistentSequenceError, ParseError, json_fields, json_list
-
-if TYPE_CHECKING:
-    from .scalar import ScalarExpr
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +132,12 @@ class Nerve:
         return Nerve(vertices, simplices)
 
 
-@dataclass
 class CochainComplex:
     """Dimensions and coboundary matrices delta_k : C^k -> C^{k+1} over Q."""
 
-    dims: list
-    deltas: list  # deltas[k] has shape (dims[k+1], dims[k]); last entry empty
+    def __init__(self, dims, deltas):
+        self.dims = dims
+        self.deltas = deltas  # deltas[k] has shape (dims[k+1], dims[k]); last entry empty
 
     def betti(self):
         out = []
@@ -245,7 +240,6 @@ def klein_nerve() -> Nerve:
 # Exact-sequence solver
 
 
-@dataclass
 class ExactSequenceProblem:
     """An exact sequence of vector spaces, fenced by zero slots.
 
@@ -253,12 +247,9 @@ class ExactSequenceProblem:
     ``ranks[j]`` the rank of the map from slot j to slot j+1 (None unknown).
     """
 
-    dims: list
-    ranks: list = None
-
-    def __post_init__(self):
-        if self.ranks is None:
-            self.ranks = [None] * (len(self.dims) - 1)
+    def __init__(self, dims, ranks=None):
+        self.dims = dims
+        self.ranks = [None] * (len(dims) - 1) if ranks is None else ranks
         if len(self.ranks) != len(self.dims) - 1:
             raise ParseError("need exactly one map between consecutive slots")
         if len(self.dims) < 2:
@@ -281,12 +272,12 @@ class ExactSequenceProblem:
         return ExactSequenceProblem(dims, ranks)
 
 
-@dataclass
 class MVSolution:
-    dims: list
-    ranks: list
-    determined: bool
-    unknown_slots: list = field(default_factory=list)
+    def __init__(self, dims, ranks, determined, unknown_slots=None):
+        self.dims = dims
+        self.ranks = ranks
+        self.determined = determined
+        self.unknown_slots = [] if unknown_slots is None else unknown_slots
 
     def __str__(self):
         if self.determined:
@@ -428,7 +419,6 @@ def known_cohomology_tables() -> dict:
 # The explicit connecting-map generator on the circle
 
 
-@dataclass
 class CircleGenerator:
     """A bump 1-form on the circle produced by the connecting construction.
 
@@ -443,18 +433,21 @@ class CircleGenerator:
     coefficient is expressed in the angle coordinate shared by both charts.
     """
 
-    klass: tuple
-    coefficient: ScalarExpr  # d/dtheta of rho_V(sin theta), per unit class
-    rho_v: ScalarExpr  # smoothstep in y, valid on the transition band
-    arc_u: tuple  # theta interval of the arc {y < 1/2}
-    arc_v: tuple  # theta interval of the arc {y > -1/2}
-    support_positive_x: tuple  # theta interval carrying the x > 0 bump
-    support_negative_x: tuple
-    integral: float
-    notes: str = (
+    notes = (
         "partition of unity is a C^1 cubic smoothstep in y; "
         "the transition band is |y| <= 1/10"
     )
+
+    def __init__(self, klass, coefficient, rho_v, arc_u, arc_v, support_positive_x,
+                 support_negative_x, integral):
+        self.klass = klass
+        self.coefficient = coefficient  # d/dtheta of rho_V(sin theta), per unit class
+        self.rho_v = rho_v  # smoothstep in y, valid on the transition band
+        self.arc_u = arc_u  # theta interval of the arc {y < 1/2}
+        self.arc_v = arc_v  # theta interval of the arc {y > -1/2}
+        self.support_positive_x = support_positive_x  # theta interval carrying the x > 0 bump
+        self.support_negative_x = support_negative_x
+        self.integral = integral
 
 
 def circle_connecting_generator(klass=(1, 0), spec=32) -> CircleGenerator:

@@ -17,20 +17,18 @@ positive degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotClosedError, NotPolynomialError
 from .forms import DifferentialForm
 from .scalar import integrate_polynomial
 
 
-@dataclass(frozen=True)
 class FiberSplit:
     """a = dt /\\ beta + gamma with the fiber axis absent from both parts."""
 
-    beta: DifferentialForm
-    gamma: DifferentialForm
-    axis: int = 0
+    def __init__(self, beta: DifferentialForm, gamma: DifferentialForm, axis: int = 0):
+        self.beta = beta
+        self.gamma = gamma
+        self.axis = axis
 
     def reconstruct(self) -> DifferentialForm:
         n = self.gamma.n

@@ -17,11 +17,12 @@ axes 0, 1, ... in order.
 
 One ``findall`` splits a text into tokens, and one operator-precedence loop
 over an explicit stack (Pratt, POPL 1973) builds its value without recursion.
-A scalar is held as a loose value of ``scalar.py``: numbers stay ints and
-Fractions, and polynomials term dicts, until a quotient, a negative power or a
-function needs a ScalarExpr.  A form symbol is a DifferentialForm, and forms
-combine by its arithmetic.  The loose operations take the steps of ScalarExpr
-arithmetic, so the value is the same, down to the order of its terms.
+A scalar is held as a loose value of ``scalar.py``: a literal stays an int
+or Fraction, and a polynomial a (terms, d) pair, until a quotient, a negative
+power or a function needs a ScalarExpr.  A form symbol is a DifferentialForm,
+and forms combine by its arithmetic.  The loose operations take the steps of
+ScalarExpr arithmetic, so the value is the same, down to the order of its
+terms.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
 
 _SCALAR_NAMES = {"x": 0, "y": 1, "z": 2, "t": 3, **{f"x{i}": i - 1 for i in range(1, 10)}}
 _FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3, **{f"dx{i}": i - 1 for i in range(1, 10)}}
+
+# the zero polynomial as a loose value; a zero number is 0
+_LOOSE_ZERO = loose(ZERO)
 
 # at most this many parentheses and function calls open at once, on the stack
 _MAX_DEPTH = 200
@@ -99,7 +103,7 @@ def _binary(op, a, b, i, n):
     elif op == "/":
         if fb and b.k:
             raise _Fault("cannot divide by a form of positive degree", i)
-        if not (b := loose(b.terms.get((), ZERO)) if fb else b):
+        if (b := loose(b.terms.get((), ZERO)) if fb else b) in (0, _LOOSE_ZERO):
             raise _Fault("division by zero", i)
     if type(a) is DifferentialForm:
         return a * tight(b) if op == "*" else a / tight(b)

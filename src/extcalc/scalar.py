@@ -20,11 +20,14 @@ Zero testing is therefore exact on the rational-function fragment: an
 expression is zero iff its numerator has no terms.  Outside that fragment
 (e.g. identities mixing ln and exp) zero detection is best-effort.
 
-Coefficients are exact rationals: an ``int`` when the denominator is 1 and a
-``fractions.Fraction`` otherwise, never a ``Fraction`` with denominator 1, so
-most arithmetic stays on machine integers.  Every division of coefficients
-goes through ``Fraction``.  Floats are deliberately rejected so the symbolic
-layer stays exact.
+Coefficients are exact rationals, stored per polynomial as ``int``
+numerators over one positive ``int`` denominator in lowest terms (the
+content kept apart from a polynomial over Z, Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2), so polynomial arithmetic is
+integer arithmetic.  A term's coefficient becomes a number (an ``int`` where
+it is whole, else a ``fractions.Fraction``) only where keys, printing and
+the evaluation tape read it.  Floats are deliberately rejected so the
+symbolic layer stays exact.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _walk(exprs) -> dict:
     them, as the keys of a dict, each after the atoms of its argument."""
     order = {}
     for e in exprs:
-        for p in (e._num, e._den):
+        for p in (e._p[0], e._q[0]):
             for m in p:
                 for a, _ in m:
                     if a.kind == "f" and a not in order:
@@ -107,38 +110,47 @@ def _walk(exprs) -> dict:
 
 # ---------------------------------------------------------------------------
 # Polynomial layer.  A monomial is a tuple of (atom, exponent) pairs sorted by
-# atom key with all exponents >= 1; a polynomial maps monomials to nonzero
-# coefficients (an int, or a Fraction whose denominator is not 1).
+# atom key with all exponents >= 1.  A polynomial is a pair (terms, d): terms
+# maps monomials to nonzero int numerators, and d > 0 is their one
+# denominator, with gcd(d, numerators) == 1, so each polynomial over Q has one
+# pair.  No polynomial is changed in place once made, so _P_ONE is shared.
 
 _MONO_ONE = ()
+_P_ZERO = ({}, 1)
+_P_ONE = ({_MONO_ONE: 1}, 1)
 
 
-def _p_one():
-    return {_MONO_ONE: 1}
+def _reduced(terms, d):
+    """The polynomial of the numerators terms over d > 0, in lowest terms."""
+    g = d
+    for c in terms.values():  # a gcd of 1 ends the loop, and most are 1
+        if g == 1:
+            return terms, d
+        g = math.gcd(g, c)
+    return ({m: c // g for m, c in terms.items()}, d // g) if g != 1 else (terms, d)
 
 
-def _norm(c):
-    """A coefficient in normal form: a Fraction with denominator 1 becomes an int."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _div(a, b):
-    """The exact quotient a/b of two coefficients, normalized."""
-    return _norm(Fraction(a) / b)
+def _coefs(p):
+    """p as {monomial: coefficient}, an int where it is whole, else a Fraction."""
+    terms, d = p
+    return {m: c // d if c % d == 0 else Fraction(c, d) for m, c in terms.items()}
 
 
 def _p_const(c):
-    return {} if c == 0 else {_MONO_ONE: c}
+    """The constant polynomial of the int or Fraction c."""
+    return ({_MONO_ONE: c.numerator}, c.denominator) if c else _P_ZERO
 
 
 def _p_is_const(p):
-    return not p or (len(p) == 1 and _MONO_ONE in p)
+    terms = p[0]
+    return not terms or (len(terms) == 1 and _MONO_ONE in terms)
 
 
 def _mono_degree(m):
-    return sum(e for _, e in m)
+    d = 0  # a loop, as a generator costs more than the few exponents
+    for _, e in m:
+        d += e
+    return d
 
 
 def _mono_key(m):
@@ -150,44 +162,56 @@ def _grlex(m):
     return (_mono_degree(m), _mono_key(m))
 
 
-def _p_lead(p):
+def _p_lead(terms):
     """The graded-lex leading monomial: highest total degree, then lex on the
     (sparse, ascending-atom) exponent vector, where a larger exponent at an
     earlier atom is larger, that is a smaller (atom, -exponent) sequence."""
-    return min(p, key=lambda m: (-_mono_degree(m), tuple((a.key, -e) for a, e in m)))
+    lead = top = None
+    for m in terms:  # the sequences are built only where two degrees tie
+        d = _mono_degree(m)
+        if lead is None or d > top or (
+                d == top and [(a.key, -e) for a, e in m] < [(a.key, -e) for a, e in lead]):
+            lead, top = m, d
+    return lead
 
 
 def _add_term(out, m, c):
-    """Add c*m into the polynomial out, dropping the monomial if it cancels;
-    c is a normalized coefficient, and so is the sum."""
-    prev = out.get(m)
-    if prev is not None:
-        c = _norm(prev + c)
+    """Add the nonzero numerator c of m into out, dropping m if it cancels."""
+    c += out.get(m, 0)
     if c:
         out[m] = c
     else:
-        out.pop(m, None)
+        del out[m]
 
 
-def _p_add_into(out, p):
-    for m, c in p.items():
-        _add_term(out, m, c)
+def _p_add_into(out, d, p):
+    """Add the polynomial p into the numerators out over d, rescaling out in
+    place to a common denominator; returns that denominator."""
+    terms, pd = p
+    lcm = d if pd == d else math.lcm(d, pd)
+    if lcm != d:
+        for m in out:
+            out[m] *= lcm // d
+    s = lcm // pd
+    for m, c in terms.items():
+        _add_term(out, m, c * s)
+    return lcm
 
 
 def _p_add(a, b):
-    out = dict(a)
-    _p_add_into(out, b)
-    return out
+    out = dict(a[0])
+    return _reduced(out, _p_add_into(out, a[1], b))
 
 
-def _p_scale(p, c):
-    if c == 0:
-        return {}
-    return {m: _norm(v * c) for m, v in p.items()}
+def _p_scale(p, n, d):
+    """p times the nonzero rational n/d."""
+    if d < 0:
+        n, d = -n, -d
+    return _reduced({m: c * n for m, c in p[0].items()}, p[1] * d)
 
 
 def _p_neg(p):
-    return {m: -v for m, v in p.items()}
+    return {m: -c for m, c in p[0].items()}, p[1]
 
 
 def _merge_monos(m1, m2):
@@ -212,6 +236,8 @@ def _merge_monos(m1, m2):
             j += 1
     pairs.extend(m1[i:])
     pairs.extend(m2[j:])
+    if pairs[-1][0].kind == "v":  # function atoms sort last, so there are none
+        return pairs, False
     for a, e in pairs:
         if a.kind == "f":
             if a.name == "exp":
@@ -236,50 +262,57 @@ def _canonize_mono(pairs):
             if e % 2:
                 base.append((a, 1))
             sin_a = _fn_atom("sin", a.arg)
-            one_minus_sin2 = {_MONO_ONE: 1, ((sin_a, 2),): -1}
+            one_minus_sin2 = {_MONO_ONE: 1, ((sin_a, 2),): -1}, 1
             factors.append(_p_pow(one_minus_sin2, e // 2))
         elif a.kind == "f" and a.name == "sqrt" and e >= 2:
             if e % 2:
                 base.append((a, 1))
-            factors.append(_p_pow(a.arg._num, e // 2))
+            factors.append(_p_pow(a.arg._p, e // 2))
         else:
             base.append((a, e))
     if exp_arg is not None and not exp_arg.is_zero():
         base.append((_fn_atom("exp", exp_arg), 1))
     base.sort(key=lambda ae: ae[0].key)
-    result = {tuple(base): 1}
+    result = ({tuple(base): 1}, 1)
     for f in factors:
         result = _p_mul(result, f)
     return result
 
 
 def _p_mul(a, b):
+    if a is _P_ONE or b is _P_ONE:
+        return b if a is _P_ONE else a
+    (ta, da), (tb, db) = a, b
     out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            c = _norm(c1 * c2)
+    s = 1  # the product of the denominators the rewrites brought in
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            c = c1 * c2 * s
             if not m1 or not m2:
                 _add_term(out, m1 or m2, c)
                 continue
             pairs, needs = _merge_monos(m1, m2)
             if needs:
-                for m, cm in _canonize_mono(pairs).items():
-                    _add_term(out, m, _norm(c * cm))
+                terms, dc = _canonize_mono(pairs)
+                if dc != 1:  # sqrt(u)^2 -> u, where u has a denominator
+                    for m in out:
+                        out[m] *= dc
+                    s *= dc
+                for m, cm in terms.items():
+                    _add_term(out, m, c * cm)
             else:
                 _add_term(out, tuple(pairs), c)
-    return out
+    return _reduced(out, da * db * s)
 
 
 def _p_pow(p, k: int):
-    result = _p_one()
-    base = p
+    result = _P_ONE
     while k:
         if k & 1:
-            result = _p_mul(result, base)
-        base_needed = k >> 1
-        if base_needed:
-            base = _p_mul(base, base)
-        k = base_needed
+            result = _p_mul(result, p)
+        k >>= 1
+        if k:
+            p = _p_mul(p, p)
     return result
 
 
@@ -299,16 +332,13 @@ def _mono_div(m, d):
 
 def _p_divide_exact(a, b):
     """Exact polynomial division a/b; None if it does not divide (or gives up)."""
-    if not b:
+    tb, db = b
+    if not tb:
         return None
-    if not a:
-        return {}
+    r, rd, q, qd = dict(a[0]), a[1], {}, 1  # the remainder r/rd, the quotient q/qd
     # generous cap; rewrite-heavy inputs could otherwise loop
-    max_steps = max(256, 16 * len(a))
-    bl = _p_lead(b)
-    blc = b[bl]
-    q: dict = {}
-    r = dict(a)
+    max_steps = max(256, 16 * len(r))
+    bl = _p_lead(tb)
     steps = 0
     while r:
         steps += 1
@@ -318,10 +348,11 @@ def _p_divide_exact(a, b):
         t = _mono_div(rl, bl)
         if t is None:
             return None
-        c = _div(r[rl], blc)
-        _add_term(q, t, c)
-        _p_add_into(r, _p_mul({t: -c}, b))
-    return q
+        n, s = r[rl] * db, rd * tb[bl]  # the coefficient (r[rl]/rd) / (tb[bl]/db)
+        term = _reduced({t: n if s > 0 else -n}, abs(s))
+        qd = _p_add_into(q, qd, term)
+        rd = _p_add_into(r, rd, _p_mul(_p_neg(term), b))
+    return _reduced(q, qd)
 
 
 def _p_monomial_content(polys):
@@ -359,7 +390,7 @@ def _p_strip_content(p, content):
 
 def _coerce_fraction(x):
     if isinstance(x, Fraction):
-        return _norm(x)
+        return x
     if isinstance(x, int):
         return int(x)  # a bool or other int subclass becomes a plain int
     raise TypeError(
@@ -368,16 +399,14 @@ def _coerce_fraction(x):
 
 
 class ScalarExpr:
-    """Immutable symbolic scalar in canonical num/den normal form."""
+    """Immutable symbolic scalar in canonical normal form, the quotient _p/_q."""
 
-    __slots__ = (
-        "_num", "_den", "_sorted_key", "_hash", "_axes", "_compiled", "_str"
-    )
+    __slots__ = ("_p", "_q", "_sorted_key", "_hash", "_axes", "_compiled", "_str")
 
     def __init__(self, num, den):
-        """Wrap a num/den pair that is already in normal form."""
-        self._num = num
-        self._den = den
+        """Wrap a num/den pair of polynomials that is already in normal form."""
+        self._p = num
+        self._q = den
         self._sorted_key = None
         self._hash = None
         self._axes = None
@@ -386,77 +415,77 @@ class ScalarExpr:
 
     # -- construction -------------------------------------------------------
 
+    # the numerator's and the denominator's coefficients, by ``_coefs``
+    _num = property(lambda self: _coefs(self._p))
+    _den = property(lambda self: _coefs(self._q))
+
     @property
     def _key(self):
         """The flat keys of num and den, one after the other, built on first
         use: function atoms are keyed on it, and it fixes the hash."""
         if self._sorted_key is None:
-            self._sorted_key = _poly_key(self._num) + _poly_key(self._den)
+            self._sorted_key = _poly_key(self._p) + _poly_key(self._q)
         return self._sorted_key
 
     @staticmethod
     def _make(num, den):
-        if not den:
+        if not den[0]:
             raise SingularityError("denominator is identically zero")
-        if not num:
+        if not num[0]:
             return ZERO
         # a constant denominator has no monomial content to share
         if not _p_is_const(den):
-            content = _p_monomial_content((den, num))
+            content = _p_monomial_content((den[0], num[0]))
             if content:
-                num = _p_strip_content(num, content)
-                den = _p_strip_content(den, content)
+                num = _p_strip_content(num[0], content), num[1]
+                den = _p_strip_content(den[0], content), den[1]
         if _p_is_const(den):
-            c = den[_MONO_ONE]
-            if c != 1:
-                num = _p_scale(num, _div(1, c))
-            return ScalarExpr(num, _p_one())
+            if den != _P_ONE:
+                num = _p_scale(num, den[1], den[0][_MONO_ONE])
+            return ScalarExpr(num, _P_ONE)
         q = _p_divide_exact(num, den)
         if q is not None:
-            return ScalarExpr(q, _p_one())
+            return ScalarExpr(q, _P_ONE)
         q = _p_divide_exact(den, num)
         if q is not None:
-            num, den = _p_one(), q
-        lead_c = den[_p_lead(den)]
-        if lead_c != 1:
-            inv = _div(1, lead_c)
-            num = _p_scale(num, inv)
-            den = _p_scale(den, inv)
+            num, den = _P_ONE, q
+        lead_c = den[0][_p_lead(den[0])]
+        if lead_c != den[1]:  # a leading coefficient other than 1
+            num = _p_scale(num, den[1], lead_c)
+            den = _p_scale(den, den[1], lead_c)
         return ScalarExpr(num, den)
 
     @staticmethod
     def constant(c) -> "ScalarExpr":
-        return ScalarExpr(_p_const(_coerce_fraction(c)), _p_one())
+        return ScalarExpr(_p_const(_coerce_fraction(c)), _P_ONE)
 
     @staticmethod
     def variable(axis: int) -> "ScalarExpr":
-        return ScalarExpr({((_var_atom(axis), 1),): 1}, _p_one())
+        return _atom_expr(_var_atom(axis))
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._p[0]
 
     def is_constant(self) -> bool:
-        return _p_is_const(self._num) and _p_is_const(self._den)
+        return _p_is_const(self._p) and _p_is_const(self._q)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ParseError("not a constant expression")
-        if not self._num:
-            return Fraction(0)
-        return Fraction(self._num[_MONO_ONE]) / self._den[_MONO_ONE]
+        return Fraction(self._p[0].get(_MONO_ONE, 0), self._p[1])
 
     def is_polynomial(self) -> bool:
         """True when den == 1 and no function atoms occur in the numerator."""
-        if not _p_is_const(self._den):
+        if not _p_is_const(self._q):
             return False
-        return all(a.kind == "v" for m in self._num for a, _ in m)
+        return all(a.kind == "v" for m in self._p[0] for a, _ in m)
 
     def axes(self) -> frozenset:
         if self._axes is None:
             axes = set()
-            for p in (self._num, self._den):
+            for p in (self._p[0], self._q[0]):
                 for m in p:
                     for a, _ in m:
                         axes |= a._axes
@@ -473,17 +502,15 @@ class ScalarExpr:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        if self._den == other._den:
-            return ScalarExpr._make(_p_add(self._num, other._num), self._den)
-        num = _p_add(
-            _p_mul(self._num, other._den), _p_mul(other._num, self._den)
-        )
-        return ScalarExpr._make(num, _p_mul(self._den, other._den))
+        if self._q == other._q:
+            return ScalarExpr._make(_p_add(self._p, other._p), self._q)
+        num = _p_add(_p_mul(self._p, other._q), _p_mul(other._p, self._q))
+        return ScalarExpr._make(num, _p_mul(self._q, other._q))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(_p_neg(self._num), self._den)
+        return ScalarExpr(_p_neg(self._p), self._q)
 
     def __sub__(self, other):
         other = _operand(other)
@@ -501,9 +528,7 @@ class ScalarExpr:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        return ScalarExpr._make(
-            _p_mul(self._num, other._num), _p_mul(self._den, other._den)
-        )
+        return ScalarExpr._make(_p_mul(self._p, other._p), _p_mul(self._q, other._q))
 
     __rmul__ = __mul__
 
@@ -513,9 +538,7 @@ class ScalarExpr:
             return NotImplemented
         if other.is_zero():
             raise SingularityError("division by the zero expression")
-        return ScalarExpr._make(
-            _p_mul(self._num, other._den), _p_mul(self._den, other._num)
-        )
+        return ScalarExpr._make(_p_mul(self._p, other._q), _p_mul(self._q, other._p))
 
     def __rtruediv__(self, other):
         other = _operand(other)
@@ -529,10 +552,8 @@ class ScalarExpr:
         if k < 0:
             if self.is_zero():
                 raise SingularityError("zero to a negative power")
-            return ScalarExpr._make(
-                _p_pow(self._den, -k), _p_pow(self._num, -k)
-            )
-        return ScalarExpr._make(_p_pow(self._num, k), _p_pow(self._den, k))
+            return ScalarExpr._make(_p_pow(self._q, -k), _p_pow(self._p, -k))
+        return ScalarExpr._make(_p_pow(self._p, k), _p_pow(self._q, k))
 
     # -- comparison ----------------------------------------------------------
 
@@ -542,7 +563,7 @@ class ScalarExpr:
                 other = as_expr(other)
             else:
                 return NotImplemented
-        return self is other or (self._num == other._num and self._den == other._den)
+        return self is other or (self._p == other._p and self._q == other._q)
 
     def __hash__(self):
         # a constant hashes like its value, since it compares equal to it
@@ -616,19 +637,21 @@ class ScalarExpr:
 # Keys are flat tuples of numbers, so no comparison or hash recurses: an
 # atom's is 0 and its axis, or 1, its function's index and its argument's
 # key; a polynomial's is its sorted terms, each _TERM, its monomial's atom
-# keys and exponents, _END and its coefficient, then _END.  _END sorts below
-# what stands in its place, as a tuple's end does, so keys sort as nested.
+# keys and exponents, _END and its coefficient's reduced numerator and
+# denominator, then _END.  _END sorts below what stands in its place, as a
+# tuple's end does, so keys sort as nested.
 _END, _TERM = -1, 0
 
 
 def _poly_key(p):
-    terms = sorted([_TERM, *itertools.chain.from_iterable(a.key + (e,) for a, e in m), _END,
-                    c.numerator, c.denominator] for m, c in p.items())
-    return (*itertools.chain.from_iterable(terms), _END)
+    terms, d = p
+    keyed = sorted([_TERM, *itertools.chain.from_iterable(a.key + (e,) for a, e in m), _END,
+                    c // (g := math.gcd(c, d)), d // g] for m, c in terms.items())
+    return (*itertools.chain.from_iterable(keyed), _END)
 
 
-ZERO = ScalarExpr({}, _p_one())
-ONE = ScalarExpr(_p_one(), _p_one())
+ZERO = ScalarExpr(_P_ZERO, _P_ONE)
+ONE = ScalarExpr(_P_ONE, _P_ONE)
 
 
 def as_expr(x) -> ScalarExpr:
@@ -658,24 +681,22 @@ def constant(c) -> ScalarExpr:
 # Loose values
 #
 # A parser combines numbers and polynomials before it knows whether a quotient
-# or a function follows, so it holds a value loosely: a normalized int or
-# Fraction, a polynomial term dict, or a ScalarExpr with a denominator.  Each
+# or a function follows, so it holds a value loosely: an int or Fraction, a
+# polynomial (a (terms, d) pair), or a ScalarExpr with a denominator.  Each
 # loose operation takes the step that ScalarExpr arithmetic takes on the same
 # operands, through the same _p_* calls, so its result is the ScalarExpr result
-# down to the order of its terms; while both operands are polynomials it
-# builds no ScalarExpr and calls no _make.
+# down to the order of its terms; on numbers and polynomials it builds no
+# ScalarExpr, calls no _make and, but for negation, returns a polynomial.
 
 
 def loose(e: ScalarExpr):
     """e as a loose value: its numerator where its denominator is 1."""
-    return e._num if _p_is_const(e._den) else e
+    return e._p if _p_is_const(e._q) else e
 
 
 def tight(v) -> ScalarExpr:
     """A loose value as a ScalarExpr."""
-    if type(v) is ScalarExpr:
-        return v
-    return ScalarExpr(v if type(v) is dict else _p_const(v), _p_one())
+    return v if type(v) is ScalarExpr else ScalarExpr(_loose_poly(v), _P_ONE)
 
 
 def loose_constant(c):
@@ -683,38 +704,34 @@ def loose_constant(c):
 
 
 def loose_variable(axis: int):
-    return {((_var_atom(axis), 1),): 1}
+    return {((_var_atom(axis), 1),): 1}, 1
 
 
 def _loose_poly(v):
-    return v if type(v) is dict else _p_const(v)
+    return v if type(v) is tuple else _p_const(v)
 
 
 def loose_add(a, b):
     if type(a) is ScalarExpr or type(b) is ScalarExpr:
         return loose(tight(a) + tight(b))
-    if type(a) is dict or type(b) is dict:
-        return _p_add(_loose_poly(a), _loose_poly(b))
-    return _norm(a + b)
+    return _p_add(_loose_poly(a), _loose_poly(b))
 
 
 def loose_mul(a, b):
     if type(a) is ScalarExpr or type(b) is ScalarExpr:
         return loose(tight(a) * tight(b))
-    if type(a) is dict or type(b) is dict:
-        return _p_mul(_loose_poly(a), _loose_poly(b))
-    return _norm(a * b)
+    return _p_mul(_loose_poly(a), _loose_poly(b))
 
 
 def loose_div(a, b):
     """a/b for a nonzero b."""
-    if type(a) is ScalarExpr or type(b) is ScalarExpr or type(b) is dict:
+    if type(a) is ScalarExpr or type(b) not in (int, Fraction):
         return loose(tight(a) / tight(b))
-    return _p_scale(a, _div(1, b)) if type(a) is dict else _norm(Fraction(a, b))
+    return _p_scale(_loose_poly(a), b.denominator, b.numerator)
 
 
 def loose_neg(v):
-    return _p_neg(v) if type(v) is dict else -v
+    return _p_neg(v) if type(v) is tuple else -v
 
 
 def loose_pow(v, k: int):
@@ -729,14 +746,14 @@ def sum_terms(values) -> ScalarExpr:
     terms with: numbers and polynomials add into one term dict in order,
     quotients are added one by one after them, and the dict becomes a
     ScalarExpr once, so no partial sum is copied."""
-    poly: dict = {}
+    poly, d = {}, 1
     quotients = ZERO
     for v in values:
         if type(v) is ScalarExpr:
             quotients = quotients + v
         else:
-            _p_add_into(poly, _loose_poly(v))
-    total = ScalarExpr._make(poly, _p_one())
+            d = _p_add_into(poly, d, _loose_poly(v))
+    total = ScalarExpr._make(_reduced(poly, d), _P_ONE)
     return total if quotients.is_zero() else total + quotients
 
 
@@ -744,42 +761,30 @@ def sum_terms(values) -> ScalarExpr:
 # Elementary functions
 
 
-def _leading_coefficient(e: ScalarExpr):
-    if not e._num:
-        return 0
-    return e._num[_p_lead(e._num)]
-
-
-def _sqrt_fraction(c):
-    """Exact square root of a nonnegative rational coefficient, or None."""
-    if c < 0:
-        return None
-    pn = math.isqrt(c.numerator)
-    pd = math.isqrt(c.denominator)
-    if pn * pn == c.numerator and pd * pd == c.denominator:
-        return _norm(Fraction(pn, pd))
-    return None
+def _atom_expr(a: _Atom) -> ScalarExpr:
+    return ScalarExpr(({((a, 1),): 1}, 1), _P_ONE)
 
 
 def _poly_mono_sqrt(p):
     """Square root of a single-monomial polynomial, or None."""
-    if len(p) != 1:
+    (terms, d) = p
+    if len(terms) != 1:
         return None
-    (m, c), = p.items()
-    root_c = _sqrt_fraction(c)
-    if root_c is None:
+    (m, c), = terms.items()
+    # c/d is in lowest terms, so its root is rational where theirs are whole
+    if c < 0 or any(e % 2 for _, e in m):
         return None
-    if any(e % 2 for _, e in m):
+    rc, rd = math.isqrt(c), math.isqrt(d)
+    if rc * rc != c or rd * rd != d:
         return None
-    root_m = tuple((a, e // 2) for a, e in m)
-    return {root_m: root_c} if (root_m or root_c != 1) else _p_const(root_c)
+    return {tuple((a, e // 2) for a, e in m): rc}, rd
 
 
 def exp(e) -> ScalarExpr:
     e = as_expr(e)
     if e.is_zero():
         return ONE
-    return ScalarExpr({((_fn_atom("exp", e), 1),): 1}, _p_one())
+    return _atom_expr(_fn_atom("exp", e))
 
 
 def ln(e) -> ScalarExpr:
@@ -790,16 +795,15 @@ def ln(e) -> ScalarExpr:
             raise SingularityError("ln of a non-positive constant")
         if c == 1:
             return ZERO
-    return ScalarExpr({((_fn_atom("ln", e), 1),): 1}, _p_one())
+    return _atom_expr(_fn_atom("ln", e))
 
 
 def _trig(name: str, e: ScalarExpr) -> ScalarExpr:
     flip = False
-    if _leading_coefficient(e) < 0:
+    if e._p[0][_p_lead(e._p[0])] < 0:
         e = -e
         flip = True
-    atom = _fn_atom(name, e)
-    base = ScalarExpr({((atom, 1),): 1}, _p_one())
+    base = _atom_expr(_fn_atom(name, e))
     if flip and name == "sin":
         return -base
     return base
@@ -825,15 +829,15 @@ def sqrt(e) -> ScalarExpr:
         return ZERO
     if e.is_constant() and e.constant_value() < 0:
         raise SingularityError("sqrt of a negative constant")
-    num, den = e._num, e._den
+    num, den = e._p, e._q
     if not _p_is_const(den):
         # sqrt(n/d) = sqrt(n*d)/d keeps sqrt arguments polynomial
-        inner = sqrt(ScalarExpr(_p_mul(num, den), _p_one()))
-        return inner / ScalarExpr(den, _p_one())
+        inner = sqrt(ScalarExpr(_p_mul(num, den), _P_ONE))
+        return inner / ScalarExpr(den, _P_ONE)
     root = _poly_mono_sqrt(num)
     if root is not None:
-        return ScalarExpr(root, _p_one())
-    return ScalarExpr({((_fn_atom("sqrt", e), 1),): 1}, _p_one())
+        return ScalarExpr(root, _P_ONE)
+    return _atom_expr(_fn_atom("sqrt", e))
 
 
 _FUNC_CONSTRUCTORS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
@@ -845,7 +849,7 @@ _FUNC_CONSTRUCTORS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt
 
 def _atom_diff(a: _Atom, du: ScalarExpr) -> ScalarExpr:
     """The derivative of the function atom a, where du is its argument's."""
-    u_atom = ScalarExpr({((a, 1),): 1}, _p_one())
+    u_atom = _atom_expr(a)
     if a.name == "exp":
         return u_atom * du
     if a.name == "ln":
@@ -861,30 +865,30 @@ def _atom_diff(a: _Atom, du: ScalarExpr) -> ScalarExpr:
 
 def _diff(e: ScalarExpr, axis: int, derivs) -> ScalarExpr:
     """de/d(axis), from derivs[a] = da/d(axis) for each function atom a."""
-    dn = _poly_diff(e._num, axis, derivs)
-    if _p_is_const(e._den):
+    dn = _poly_diff(e._p, axis, derivs)
+    if _p_is_const(e._q):
         return dn
-    dd = _poly_diff(e._den, axis, derivs)
-    num_expr = ScalarExpr(e._num, _p_one())
-    den_expr = ScalarExpr(e._den, _p_one())
+    dd = _poly_diff(e._q, axis, derivs)
+    num_expr = ScalarExpr(e._p, _P_ONE)
+    den_expr = ScalarExpr(e._q, _P_ONE)
     return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
 
 
 def _poly_diff(p, axis: int, derivs) -> ScalarExpr:
     """dp/d(axis) term by term by the product rule, added by ``sum_terms``."""
     def terms():
-        for m, c in p.items():
+        for m, c in p[0].items():
             for i, (a, e) in enumerate(m):
                 if axis in a._axes:
                     mono = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
-                    rest = {mono: _norm(c * e)}
+                    rest = _reduced({mono: c * e}, p[1])
                     yield rest if a.kind == "v" else loose_mul(rest, loose(derivs[a]))
     return sum_terms(terms())
 
 
 def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
     """e with axis i -> replacements[i] and each function atom a -> images[a]."""
-    num, den = (_poly_substitute(p, replacements, images) for p in (e._num, e._den))
+    num, den = (_poly_substitute(p, replacements, images) for p in (e._p, e._q))
     if den.is_zero():
         raise SingularityError("substitution makes the denominator zero")
     return num / den
@@ -893,8 +897,9 @@ def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
 def _poly_substitute(p, replacements, images) -> ScalarExpr:
     def image(a):
         return replacements[a.axis] if a.kind == "v" else images[a]
-    return sum_terms(loose(math.prod((image(a) ** e for a, e in m), start=ScalarExpr.constant(c)))
-                     for m, c in p.items())
+    return sum_terms(loose(math.prod((image(a) ** e for a, e in m),
+                                     start=ScalarExpr(_reduced({_MONO_ONE: c}, p[1]), _P_ONE)))
+                     for m, c in p[0].items())
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +953,7 @@ def _tape(exprs):
     that zero, as 0.0 == -0.0."""
     # one more than the largest axis of an atom, with no set of axes built
     width = 1 + max((a.axis if a.kind == "v" else max(a._axes, default=-1) for e in exprs
-                     for p in (e._num, e._den) for m in p for a, _ in m), default=-1)
+                     for p in (e._p[0], e._q[0]) for m in p for a, _ in m), default=-1)
     steps, regs = [], {}
 
     def reg(step, key=None):
@@ -960,18 +965,19 @@ def _tape(exprs):
         return r
 
     def poly(p):
-        p = p or {_MONO_ONE: 0}  # the empty sum is 0.0
+        p, d = p[0] or {_MONO_ONE: 0}, p[1]  # the empty sum is 0.0
         terms = []
         for m in sorted(p, key=_grlex) if len(p) > 1 else p:
-            c = float(p[m])
+            # the coefficient correctly rounded, as float() of its int or Fraction
+            c = float(p[m] // d) if p[m] % d == 0 else p[m] / d
             step = ("*", None if m and c == 1.0 else c,
                     tuple([(a.axis if a.kind == "v" else regs[a], e) for a, e in m]))
             terms.append(reg(step) if c else reg(step, (step, math.copysign(1.0, c))))
         return terms[0] if len(terms) == 1 else reg(("+", terms[0], tuple(terms[1:])))
 
     def quotient(e):
-        num = poly(e._num)
-        return num if _p_is_const(e._den) else reg(("div", num, poly(e._den)))
+        num = poly(e._p)
+        return num if _p_is_const(e._q) else reg(("div", num, poly(e._q)))
 
     for a in _walk(exprs):
         regs[a] = reg((a.name, quotient(a.arg), None))
@@ -1161,9 +1167,9 @@ def format_expr(e: ScalarExpr, n: int | None = None) -> str:
 
 def _expr_str(e: ScalarExpr, n: int, names) -> str:
     num_str = _poly_str(e._num, n, names)
-    if _p_is_const(e._den):
+    if _p_is_const(e._q):
         return num_str
-    if len(e._num) > 1:
+    if len(e._p[0]) > 1:
         num_str = f"({num_str})"
     den_terms = _poly_terms(e._den, n, names)
     den_str = _poly_str(e._den, n, names)
@@ -1183,13 +1189,13 @@ def format_coefficient(e: ScalarExpr, n: int):
     The body never starts with a minus sign and is parenthesized whenever a
     following ``*`` would otherwise bind into it.
     """
-    if len(e._num) == 1:
-        ((m, c),) = e._num.items()
+    if len(e._p[0]) == 1:
+        ((m, c),) = e._p[0].items()
         sign = "-" if c < 0 else "+"
-        pos = ScalarExpr({m: abs(c)}, e._den) if c < 0 else e
+        pos = ScalarExpr(({m: -c}, e._p[1]), e._q) if c < 0 else e
         return sign, format_expr(pos, n)
     s = format_expr(e, n)
-    if _p_is_const(e._den):
+    if _p_is_const(e._q):
         s = f"({s})"
     return "+", s
 
@@ -1206,31 +1212,25 @@ def integrate_polynomial(e: ScalarExpr, axis: int, lower=0) -> ScalarExpr:
     the axis variable equals ``lower``.
     """
     e = as_expr(e)
-    for p in (e._num, e._den):
-        for m in p:
+    for p in (e._p, e._q):
+        for m in p[0]:
             for a, ex in m:
                 if a.kind == "f" and axis in a._axes:
                     raise NotPolynomialError(
                         f"axis {axis} occurs inside {a.name}(...)"
                     )
-                if a.kind == "v" and a.axis == axis and p is e._den:
+                if a.kind == "v" and a.axis == axis and p is e._q:
                     raise NotPolynomialError(
                         f"axis {axis} occurs in a denominator"
                     )
     var_a = _var_atom(axis)
-    num = {}
-    for m, c in e._num.items():
-        pairs = []
-        k = 0
-        for a, ex in m:
-            if a is var_a:
-                k = ex
-            else:
-                pairs.append((a, ex))
-        pairs.append((var_a, k + 1))
-        pairs.sort(key=lambda ae: ae[0].key)
-        _add_term(num, tuple(pairs), _div(c, k + 1))
-    anti = ScalarExpr._make(num, _p_one()) / ScalarExpr(e._den, _p_one())
+    terms = []
+    for m, c in e._p[0].items():
+        k = dict(m).get(var_a, 0)
+        pairs = sorted([ae for ae in m if ae[0] is not var_a] + [(var_a, k + 1)],
+                       key=lambda ae: ae[0].key)
+        terms.append(_reduced({tuple(pairs): c}, e._p[1] * (k + 1)))
+    anti = sum_terms(terms) / ScalarExpr(e._q, _P_ONE)
     lower = as_expr(lower)
     if lower.is_zero():
         # antiderivative already vanishes at 0 term by term

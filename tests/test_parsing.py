@@ -88,6 +88,8 @@ ERRORS = [
     ("map", "map(u) = u; u)", None, "unexpected trailing input ')' (at position 1)"),
     ("map", "map(sin) = sin", None, "expected '(', found '' (at position 3)"),
     ("map", "map(dx) = dx", None, "form symbol 'dx' is not a scalar token (at position 0)"),
+    # a constant divisor made by arithmetic on numbers is a polynomial
+    ("scalar", "x/(1/2 - 2/4)", 1, "division by zero (at position 1)"),
 ]
 
 

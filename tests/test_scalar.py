@@ -1,7 +1,10 @@
 """Symbolic scalar engine: parsing, calculus, normal form."""
 
 import gc
+import hashlib
 import math
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,9 @@ from helpers import (
     rand_point,
     rand_poly,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+import gen  # noqa: E402
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 
@@ -101,7 +107,7 @@ class TestSumTerms:
         make = S.ScalarExpr._make
 
         def counted(num, den):
-            made.append(len(num))
+            made.append(len(num[0]))
             return make(num, den)
 
         monkeypatch.setattr(S.ScalarExpr, "_make", staticmethod(counted))
@@ -532,3 +538,123 @@ def test_flat_keys_sort_like_the_nested_ones():
             -S._mono_degree(m), tuple((nested_atom_key(a), -e) for a, e in m)))
         order = sorted(p, key=lambda m: (p[m] < 0, -S._mono_degree(m), nested_mono_key(m)))
         assert S._poly_terms(p, 3, names) == [S._poly_terms({m: p[m]}, 3, names)[0] for m in order]
+
+
+class TestSymbolicPin:
+    """The printed form, key and evaluation tape of a seeded corpus of
+    ``perfbench/gen.py`` coefficients, forms and maps, and of the results of
+    the symbolic operations on them, hashed: a change to how coefficients
+    are stored must leave every text, key and tape coefficient as it was."""
+
+    PIN = "136d147797a2df986cfa9668c53d178613619e8510691ab3b133407a88b32ad4"
+
+    @staticmethod
+    def _corpus(rng):
+        from extcalc.parsing import parse_form, parse_map
+
+        for n in (2, 3, 2, 3):
+            names = gen.AXES[:n]
+            scalars = [parse_scalar(gen.coefficient(rng, names, kind), n)
+                       for kind in gen.COEFF_KINDS for _ in range(3)]
+            forms = [parse_form(gen.form(rng, n, k, kinds=(kind,), max_terms=2), n)
+                     for kind in gen.COEFF_KINDS for k in range(n + 1)]
+            maps = [parse_map(gen.smooth_map(rng, p, n)) for p in (1, 2, 3)]
+            maps += [parse_map(gen.perturbed_box_map(rng, n))]
+            yield n, scalars, forms, maps
+
+    @staticmethod
+    def _results(rng, n, scalars, forms, maps):
+        """Thunks of the corpus values and of the operations on them; each is
+        called before the next is made, so the loop variables it reads are
+        the current ones."""
+        from extcalc.forms import VectorFieldSym, lie_derivative
+        from extcalc.homotopy import primitive
+        from extcalc.maps import pullback
+
+        for value in scalars + forms + maps:
+            yield lambda: value
+        for a, b in zip(scalars, scalars[1:] + scalars[:1]):
+            yield lambda: a + b
+            yield lambda: a * b
+            yield lambda: a / b
+            yield lambda: a ** rng.randint(-2, 3)
+            for i in range(n):
+                yield lambda: a.differentiate(i)
+            g = rng.choice(maps)
+            yield lambda: a.substitute(g.components)
+        for a, b in zip(forms, forms[1:] + forms[:1]):
+            yield a.d
+            yield lambda: a.wedge(b)
+            g = rng.choice(maps)
+            yield lambda: pullback(g, a)
+            yield lambda: primitive(a.d())
+            v = VectorFieldSym(n, rng.sample(scalars, n))
+            yield lambda: lie_derivative(v, a)
+
+    @staticmethod
+    def _describe(value):
+        """The text, key and tape of a scalar, or of each coefficient of a
+        form or component of a map."""
+        if isinstance(value, S.ScalarExpr):
+            return [repr((str(value), value._key, S.Batch([value])._tape))]
+        if hasattr(value, "components"):
+            return [line for c in value.components for line in TestSymbolicPin._describe(c)]
+        return [f"{value.k} {value}"] + [f"{idx} {line}" for idx, c in value.terms.items()
+                                         for line in TestSymbolicPin._describe(c)]
+
+    def _lines(self):
+        rng = make_rng(2024)
+        for n, scalars, forms, maps in self._corpus(rng):
+            for value in self._results(rng, n, scalars, forms, maps):
+                try:
+                    value = value()
+                except Exception as err:  # a fault's text is pinned too
+                    yield f"{type(err).__name__}: {err}"
+                    continue
+                yield from self._describe(value)
+
+    def test_texts_keys_and_tapes_are_pinned(self):
+        lines = list(self._lines())
+        assert len(lines) > 500
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.PIN
+
+def stored_polynomials(e):
+    """The (terms, d) pairs of e and of every function argument inside it."""
+    for p in (e._p, e._q):
+        yield p
+        for m in p[0]:
+            for a, _ in m:
+                if a.arg is not None:
+                    yield from stored_polynomials(a.arg)
+
+
+def test_stored_polynomials_are_reduced_and_equality_is_the_zero_test():
+    """Every polynomial is int numerators over a positive int denominator in
+    lowest terms; two polynomials are equal exactly where their difference
+    is zero, and equal ones hash alike."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    terms = st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 6),
+                               st.integers(0, 2), st.integers(0, 2)), max_size=4)
+
+    def poly(ts):
+        return sum((S.constant(Fraction(c, d)) * x**i * y**j for c, d, i, j in ts), S.ZERO)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(terms, terms, terms, st.integers(0, 3))
+    def check(ta, tb, tq, route):
+        a, q = poly(ta), poly(tq) + 1 + x * x
+        # b is a itself by another route, or a second polynomial
+        b = [poly(tb), poly(ta[::-1]), a * q / q, a + poly(tb) - poly(tb)][route]
+        for e in (a, b, a + b, a - b, a * b, a / q, a / q - b / q**2, a * S.sin(b), S.exp(a / 2)):
+            for terms_, d in stored_polynomials(e):
+                assert type(d) is int and d > 0
+                assert all(type(c) is int and c for c in terms_.values())
+                assert math.gcd(d, *terms_.values()) == 1
+        assert (a == b) == (a - b).is_zero()
+        if a == b:
+            assert hash(a) == hash(b)
+        if route:
+            assert a == b
+
+    check()
