@@ -21,6 +21,10 @@ one operation to every input and reports the time per operation:
 * differentiate: a coefficient along each of its axes;
 * pullback: a form through a map;
 * dd: ``d`` twice of a form;
+* wedge: a form wedged with the next form of its dimension;
+* lie_derivative: a form along a vector field of the next coefficients of
+  its dimension;
+* compose: each map on R^2 or R^3 after the next map into its domain;
 * d_nest_25, d_nest_50, d_nest_75: ``d`` of ``sin(sin(...(x)))*dy`` on R^2
   with sin nested 25, 50 and 75 deep, per call;
 * tape_map_k3: a fresh ``Batch`` (its evaluation tape) of the components
@@ -71,6 +75,15 @@ def _rows():
         maps.append(ec.parse_map(chart))
         texts.append((n, coeff, chart))
     pairs = list(zip(scalars, scalars[1:] + scalars[:1]))
+
+    def after(i, items, fits):
+        """The first of the items after the i-th, cyclically, that fits."""
+        return next(b for b in items[i + 1:] + items[:i + 1] if fits(b))
+
+    wedges = [(w, after(i, forms, lambda f: f[0] == n)[2]) for i, (n, _, w) in enumerate(forms)]
+    fields = [(ec.VectorFieldSym(n, [after(i + j, scalars, lambda s: s[0] == n)[1]
+                                     for j in range(n)]), w) for i, (n, _, w) in enumerate(forms)]
+    composable = [(h, after(i, maps, lambda g: g.m == h.n)) for i, h in enumerate(maps) if h.n > 1]
     derivatives = [(s, axis) for n, s in scalars for axis in range(n)]
     nests = {depth: ec.parse_form("sin(" * depth + "x" + ")" * depth + "*dy", 2)
              for depth in (25, 50, 75)}
@@ -94,6 +107,9 @@ def _rows():
         "pullback": ("us/op", COUNT, lambda: [
             ec.pullback(g, w) for (_, _, w), g in zip(forms, maps)]),
         "dd": ("us/op", COUNT, lambda: [w.d().d() for _, _, w in forms]),
+        "wedge": ("us/op", COUNT, lambda: [a.wedge(b) for a, b in wedges]),
+        "lie_derivative": ("us/op", COUNT, lambda: [ec.lie_derivative(v, w) for v, w in fields]),
+        "compose": ("us/op", len(composable), lambda: [ec.compose(h, g) for h, g in composable]),
         "criterion_2": ("ms", 1, criterion_2),
         **{f"d_nest_{depth}": ("ms", 1, w.d) for depth, w in nests.items()},
         "tape_map_k3": ("us/op", COUNT, lambda: [Batch(exprs) for exprs in jets]),

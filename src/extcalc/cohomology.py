@@ -42,7 +42,8 @@ def rank_exact(rows) -> int:
     work = [{c: x for c, x in enumerate(row) if x} for row in rows]
     rank, integral = 0, False
     while work := [row for row in work if row]:
-        pivot = work.pop(min(range(len(work)), key=lambda i: len(work[i])))
+        lengths = list(map(len, work))
+        pivot = work.pop(lengths.index(min(lengths)))
         col = next((c for c, x in pivot.items() if abs(x) == 1), None)
         unit = col is not None
         if not unit:

@@ -18,8 +18,13 @@ from .scalar import (
     format_coefficient,
     format_expr,
     loose,
+    loose_add,
+    loose_is_zero,
+    loose_mul,
+    loose_neg,
     sqrt,
     sum_terms,
+    tight,
     variable,
 )
 
@@ -49,14 +54,27 @@ def canonicalize_index(indices, n=None):
 
 
 def _add_term(out, idx, c):
-    """Add c to the coefficient of dx_idx in out, dropping it if it cancels."""
+    """Add the loose value c to the coefficient of dx_idx in out, pairwise, dropping
+    it if it cancels; ``DifferentialForm._of`` makes the sums ScalarExprs, once."""
     prev = out.get(idx)
     if prev is not None:
-        c = prev + c
-    if c.is_zero():
+        c = loose_add(loose(prev), loose(c))
+    if loose_is_zero(c):
         out.pop(idx, None)
     else:
         out[idx] = c
+
+
+def _wedge_terms(terms, other):
+    """The loose terms of the wedge of two forms' terms, added in order."""
+    out, other = {}, [(i, loose(c)) for i, c in other.items()]
+    for i1, c1 in terms.items():
+        for i2, c2 in other:
+            sign, idx = canonicalize_index(i1 + i2)
+            if sign:
+                c = loose_mul(loose(c1), c2)
+                _add_term(out, idx, c if sign > 0 else loose_neg(c))
+    return out
 
 
 class DifferentialForm:
@@ -89,6 +107,14 @@ class DifferentialForm:
         self._batches = {}
 
     # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def _of(n, k, terms):
+        """The form of nonzero loose coefficients already valid on R^n, unchecked."""
+        form = object.__new__(DifferentialForm)
+        form.n, form.k, form._batches = n, k, {}
+        form.terms = {idx: tight(c) for idx, c in terms.items()}
+        return form
 
     @staticmethod
     def zero(n, k):
@@ -153,20 +179,18 @@ class DifferentialForm:
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             _add_term(terms, idx, c)
-        return DifferentialForm(self.n, self.k, terms)
+        return DifferentialForm._of(self.n, self.k, terms)
 
     def __neg__(self):
-        return DifferentialForm(
-            self.n, self.k, {i: -c for i, c in self.terms.items()}
-        )
+        return DifferentialForm._of(self.n, self.k, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = as_expr(scalar)
+        scalar = loose(as_expr(scalar))
         return DifferentialForm(
-            self.n, self.k, {i: c * scalar for i, c in self.terms.items()}
+            self.n, self.k, {i: tight(loose_mul(loose(c), scalar)) for i, c in self.terms.items()}
         )
 
     __rmul__ = __mul__
@@ -179,14 +203,7 @@ class DifferentialForm:
     def wedge(self, other) -> "DifferentialForm":
         if self.n != other.n:
             raise DimensionMismatch("forms live on different spaces")
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                sign, idx = canonicalize_index(i1 + i2)
-                if sign:
-                    c = c1 * c2
-                    _add_term(out, idx, c if sign > 0 else -c)
-        return DifferentialForm(self.n, self.k + other.k, out)
+        return DifferentialForm._of(self.n, self.k + other.k, _wedge_terms(self.terms, other.terms))
 
     def d(self) -> "DifferentialForm":
         """d(c dx_I) = sum over j not in I of (dc/dx_j) dx_j /\\ dx_I; only the
@@ -197,7 +214,7 @@ class DifferentialForm:
                 sign, new_idx = canonicalize_index((j,) + idx)
                 dc = c.differentiate(j)
                 _add_term(out, new_idx, dc if sign > 0 else -dc)
-        return DifferentialForm(self.n, self.k + 1, out)
+        return DifferentialForm._of(self.n, self.k + 1, out)
 
     def is_closed(self) -> bool:
         return self.d().is_zero()
@@ -274,9 +291,9 @@ def interior_product(v: VectorFieldSym, a: DifferentialForm) -> DifferentialForm
     out = {}
     for idx, c in a.terms.items():
         for r, axis in enumerate(idx):
-            term = c * v.components[axis]
-            _add_term(out, idx[:r] + idx[r + 1:], -term if r % 2 else term)
-    return DifferentialForm(a.n, a.k - 1, out)
+            term = loose_mul(loose(c), loose(v.components[axis]))
+            _add_term(out, idx[:r] + idx[r + 1:], loose_neg(term) if r % 2 else term)
+    return DifferentialForm._of(a.n, a.k - 1, out)
 
 
 def lie_derivative(v: VectorFieldSym, a: DifferentialForm) -> DifferentialForm:

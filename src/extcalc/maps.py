@@ -6,7 +6,8 @@ from itertools import combinations
 
 from .errors import DimensionMismatch
 from .forms import DifferentialForm
-from .scalar import ZERO, Batch, ScalarExpr, as_expr, cos, loose, sin, sum_terms, variable
+from .scalar import (ZERO, Batch, ScalarExpr, as_expr, cos, loose, loose_mul, sin, sum_terms,
+                     variable)
 
 
 class SmoothMap:
@@ -169,11 +170,12 @@ def pullback(g: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     n = g.n
     if form.k > n:
         return DifferentialForm.zero(n, form.k)
-    pulled = [c.substitute(g.components) for c in form.terms.values()]
+    pulled = [loose(c.substitute(g.components)) for c in form.terms.values()]
     out = {}
     for cols in combinations(range(n), form.k):
         minors = _minors(g._entry, list(form.terms), cols)
-        out[cols] = sum_terms(loose(a * det) for a, det in zip(pulled, minors) if det is not None)
+        out[cols] = sum_terms(loose_mul(a, loose(det)) for a, det in zip(pulled, minors)
+                              if det is not None)
     return DifferentialForm(n, form.k, out)
 
 

@@ -13,27 +13,30 @@ Form atoms dx, dy, dz, dt and dx1..dx9 are only legal when parsing forms;
 ``/\\`` wedges forms, ``^`` is reserved for scalar powers.
 
 Map literal: ``map(u, v) = expr; expr; ...`` binds the named parameters to
-axes 0, 1, ... in order.
+axes 0, 1, ... in order; a function or form-atom name is not a parameter.
+A fault's position counts from the start of the map text.
 
 One ``findall`` splits a text into tokens, and one operator-precedence loop
 over an explicit stack (Pratt, POPL 1973) builds its value without recursion.
 A scalar is held as a loose value of ``scalar.py``: a literal stays an int
 or Fraction, and a polynomial a (terms, d) pair, until a quotient, a negative
-power or a function needs a ScalarExpr.  A form symbol is a DifferentialForm,
-and forms combine by its arithmetic.  The loose operations take the steps of
-ScalarExpr arithmetic, so the value is the same, down to the order of its
-terms.
+power or a function needs a ScalarExpr.  A form is its degree and
+{multi-index: loose value}, a form atom {(axis,): 1}, until the one
+DifferentialForm of the text is made.  The loose operations take the steps
+of ScalarExpr and DifferentialForm arithmetic, so the value is the same,
+down to the order of its terms and of a form's multi-indices.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DegreeError, ParseError, json_list
-from .forms import DifferentialForm
+from .errors import ParseError, json_list
+from .forms import DifferentialForm, _add_term, _wedge_terms
 from .maps import SmoothMap
-from .scalar import (ZERO, ScalarExpr, cos, exp, ln, loose, loose_add, loose_constant, loose_div,
+from .scalar import (ScalarExpr, cos, exp, ln, loose, loose_add, loose_div, loose_is_zero,
                      loose_mul, loose_neg, loose_pow, loose_variable, sin, sqrt, tight)
 
 _FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
@@ -41,13 +44,12 @@ _FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
 _SCALAR_NAMES = {"x": 0, "y": 1, "z": 2, "t": 3, **{f"x{i}": i - 1 for i in range(1, 10)}}
 _FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3, **{f"dx{i}": i - 1 for i in range(1, 10)}}
 
-# the zero polynomial as a loose value; a zero number is 0
-_LOOSE_ZERO = loose(ZERO)
-
 # at most this many parentheses and function calls open at once, on the stack
 _MAX_DEPTH = 200
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_PIECE_RE = re.compile(r"[^;]+")  # a component of a map
 _TOKEN = rf"\d+(?:\.\d+)?|{_NAME}|/\\|[-+*/^(),;=]"
 _TOKENS_RE = re.compile(_TOKEN + r"|\S")  # a character that starts no token stands alone
 _SPOTS_RE = re.compile(rf"\s*(?:({_TOKEN})|\S)")
@@ -56,16 +58,19 @@ _SPOTS_RE = re.compile(rf"\s*(?:({_TOKEN})|\S)")
 # open group is 0, and any other token (1) closes the innermost group
 _PREC = {"+": 2, "-": 2, "*": 4, "/": 4, "/\\": 4}
 
+# a form while a text is parsed: its degree and {multi-index: nonzero loose value}
+_Form = namedtuple("_Form", "k terms")
+
 
 class _Fault(Exception):
     """A parse error at a token index, which ``_parse`` turns into a position."""
 
 
-def _spots(text):
-    """Where each token starts, then the end of the text; ParseError at a character
+def _spots(text, start):
+    """Where each token from start on starts, then the end; ParseError at a character
     that starts no token, placed where the whitespace before it begins."""
     spots = []
-    for m in _SPOTS_RE.finditer(text):
+    for m in _SPOTS_RE.finditer(text, start):
         if m.lastindex is None:
             raise ParseError(f"unexpected character {text[m.end() - 1]!r}", m.start())
         spots.append(m.start(1))
@@ -73,54 +78,62 @@ def _spots(text):
 
 
 def _neg(v):
-    return -v if type(v) is DifferentialForm else loose_neg(v)
+    return _Form(v.k, {i: loose_neg(c) for i, c in v.terms.items()}) if type(v) is _Form \
+        else loose_neg(v)
 
 
-def _form(v, n):
-    return v if type(v) is DifferentialForm else DifferentialForm.from_scalar(n, tight(v))
+def _form(v):
+    return v if type(v) is _Form else _Form(0, {} if loose_is_zero(v) else {(): v})
 
 
-def _binary(op, a, b, i, n):
+def _binary(op, a, b, i):
     """a op b for the operator token op at index i, by the arithmetic of loose
-    values and of DifferentialForm."""
-    fa, fb = type(a) is DifferentialForm, type(b) is DifferentialForm
+    values, and of forms as DifferentialForm does it."""
+    fa, fb = type(a) is _Form, type(b) is _Form
     if op == "/\\":
-        return _form(a, n).wedge(_form(b, n))
+        a, b = _form(a), _form(b)
+        return _Form(a.k + b.k, _wedge_terms(a.terms, b.terms))
     if op in "+-":
         b = _neg(b) if op == "-" else b
         if not (fa or fb):
             return loose_add(a, b)
-        try:
-            return _form(a, n) + _form(b, n)
-        except DegreeError as err:
-            raise _Fault(str(err), i) from err
+        a, b = _form(a), _form(b)
+        if a.k == b.k:
+            terms = dict(a.terms)
+            for idx, c in b.terms.items():
+                _add_term(terms, idx, c)
+            return _Form(a.k, terms)
+        if a.terms and b.terms:
+            raise _Fault("cannot add forms of different degree", i)
+        return a if a.terms else b
     if op == "*" and fa and fb:
         if a.k and b.k:
             raise _Fault("use /\\ to multiply forms of positive degree", i)
-        a, b = (b, a.terms.get((), ZERO)) if a.k == 0 else (a, b.terms.get((), ZERO))
+        a, b = (b, a.terms.get((), 0)) if a.k == 0 else (a, b.terms.get((), 0))
     elif op == "*" and fb:
         a, b = b, a
     elif op == "/":
         if fb and b.k:
             raise _Fault("cannot divide by a form of positive degree", i)
-        if (b := loose(b.terms.get((), ZERO)) if fb else b) in (0, _LOOSE_ZERO):
+        if loose_is_zero(b := b.terms.get((), 0) if fb else b):
             raise _Fault("division by zero", i)
-    if type(a) is DifferentialForm:
-        return a * tight(b) if op == "*" else a / tight(b)
-    return loose_mul(a, b) if op == "*" else loose_div(a, b)
+    if type(a) is not _Form:
+        return loose_mul(a, b) if op == "*" else loose_div(a, b)
+    b = b if op == "*" else loose_div(1, b)  # a / b is a * (1/b), as for a DifferentialForm
+    return _Form(a.k, {j: v for j, c in a.terms.items() if not loose_is_zero(v := loose_mul(c, b))})
 
 
 def _leaf(tok, i, n, names, forms):
     """The value of a number, variable or form symbol token."""
     if tok[:1].isdecimal():
-        return loose_constant(Fraction(tok)) if "." in tok else int(tok)
+        return Fraction(tok) if "." in tok else int(tok)
     if tok in _FORM_NAMES:
         if not forms:
             raise _Fault(f"form symbol {tok!r} is not a scalar token", i)
         axis = _FORM_NAMES[tok]
         if axis >= n:
             raise _Fault(f"{tok!r} refers to axis {axis} outside dimension {n}", i)
-        return DifferentialForm.basis(n, axis)
+        return _Form(1, {(axis,): 1})
     if not tok.isidentifier():
         raise _Fault(f"unexpected token {tok!r}", i)
     if (axis := names.get(tok)) is None:
@@ -156,7 +169,7 @@ def _read(toks, n, names, forms):
                 j = i + 1 + (toks[i + 1] == "-")
                 if not toks[j][:1].isdecimal() or "." in toks[j]:
                     raise _Fault("expected an integer exponent", j)
-                if type(value) is DifferentialForm:
+                if type(value) is _Form:
                     raise _Fault("^ applies to scalars, not forms", i)
                 try:
                     value = loose_pow(value, -int(toks[j]) if j > i + 1 else int(toks[j]))
@@ -167,7 +180,7 @@ def _read(toks, n, names, forms):
             prec = _PREC.get(tok, 1)
             while ops[-1][0] >= prec:
                 _, op, j = ops.pop()
-                value = _neg(value) if op == "neg" else _binary(op, lefts.pop(), value, j, n)
+                value = _neg(value) if op == "neg" else _binary(op, lefts.pop(), value, j)
             if prec > 1:
                 lefts.append(value)
                 ops.append((prec, tok, i))
@@ -177,10 +190,10 @@ def _read(toks, n, names, forms):
             if group is None:
                 if tok:
                     raise _Fault(f"unexpected trailing input {tok!r}", i)
-                if type(value) is DifferentialForm and not forms:  # only a wedge makes one
+                if type(value) is _Form and not forms:  # only a wedge makes one
                     raise _Fault("/\\ wedges forms, not scalars", toks.index("/\\"))
                 return value
-            if group != "(" and type(value) is DifferentialForm:
+            if group != "(" and type(value) is _Form:
                 raise _Fault(f"{group}() takes a scalar argument", j)
             if tok != ")":
                 raise _Fault(f"expected ')', found {tok!r}", i)
@@ -192,17 +205,19 @@ def _read(toks, n, names, forms):
             i, depth = i + 1, depth - 1
 
 
-def _parse(text, n, names, forms):
-    """The text as a ScalarExpr, or a DifferentialForm where it holds a form."""
-    toks = _TOKENS_RE.findall(text) + [""]
+def _parse(text, n, names, forms, start=0):
+    """The text from start on as a ScalarExpr, or a DifferentialForm where forms are allowed."""
+    toks = _TOKENS_RE.findall(text, start) + [""]
     try:
         value = _read(toks, n, names, forms)
     except _Fault as fault:
-        raise ParseError(fault.args[0], _spots(text)[fault.args[1]]) from fault.__cause__
+        raise ParseError(fault.args[0], _spots(text, start)[fault.args[1]]) from fault.__cause__
     except Exception:
-        _spots(text)  # a character that starts no token is reported first
+        _spots(text, start)  # a character that starts no token is reported first
         raise
-    return value if type(value) is DifferentialForm else tight(value)
+    if forms and n < 0:  # as DifferentialForm refuses it
+        raise ParseError("dimension and degree must be nonnegative")
+    return DifferentialForm._of(n, *_form(value)) if forms else tight(value)
 
 
 def parse_scalar(text: str, n: int) -> ScalarExpr:
@@ -212,8 +227,7 @@ def parse_scalar(text: str, n: int) -> ScalarExpr:
 
 def parse_form(text: str, n: int) -> DifferentialForm:
     """Parse a differential-form literal; a bare scalar becomes a 0-form."""
-    value = _parse(text, n, _SCALAR_NAMES, True)
-    return DifferentialForm.from_scalar(n, value) if isinstance(value, ScalarExpr) else value
+    return _parse(text, n, _SCALAR_NAMES, True)
 
 
 _MAP_HEAD_RE = re.compile(rf"^\s*map\s*\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)\s*=\s*(.*)$", re.S)
@@ -224,11 +238,15 @@ def parse_map(text: str) -> SmoothMap:
     m = _MAP_HEAD_RE.match(text)
     if m is None:
         raise ParseError("expected 'map(params) = expr; expr; ...'", 0)
-    names = {p.strip(): i for i, p in enumerate(m.group(1).split(","))}
-    if len(names) != m.group(1).count(",") + 1:
-        raise ParseError("duplicate parameter name", 0)
-    comps = [_parse(piece.strip(), len(names), names, False)
-             for piece in m.group(2).split(";") if piece.strip()]
+    names = {}
+    for p in _NAME_RE.finditer(text, m.start(1), m.end(1)):
+        if p[0] in _FUNCS or p[0] in _FORM_NAMES:
+            raise ParseError(f"parameter name {p[0]!r} is reserved", p.start())
+        if p[0] in names:
+            raise ParseError("duplicate parameter name", 0)
+        names[p[0]] = len(names)
+    comps = [_parse(text[:c.end()], len(names), names, False, c.start())  # blanks and all
+             for c in _PIECE_RE.finditer(text, m.start(2)) if c[0].strip()]
     if not comps:
         raise ParseError("map needs at least one component", 0)
     return SmoothMap(len(names), len(comps), comps)

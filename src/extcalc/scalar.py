@@ -75,14 +75,15 @@ class _Atom:
 
 # One live atom per key; an atom leaves the cache when no expression holds it.
 _ATOM_CACHE = weakref.WeakValueDictionary()
+_VAR_ATOMS = {}  # but the atom of an axis, made for every variable parsed, is kept
 
 
 def _var_atom(axis: int) -> _Atom:
-    atom = _ATOM_CACHE.get((0, axis))
+    atom = _VAR_ATOMS.get(axis)
     if atom is None:
         if axis < 0:
             raise DimensionMismatch("axis index must be >= 0")
-        atom = _ATOM_CACHE[(0, axis)] = _Atom("v", axis=axis)
+        atom = _VAR_ATOMS[axis] = _Atom("v", axis=axis)
     return atom
 
 
@@ -222,17 +223,16 @@ def _merge_monos(m1, m2):
     needs = False
     exp_seen = 0
     while i < n1 and j < n2:
-        a1, e1 = m1[i]
-        a2, e2 = m2[j]
-        if a1 is a2:
-            pairs.append((a1, e1 + e2))
+        p1, p2 = m1[i], m2[j]
+        if p1[0] is p2[0]:
+            pairs.append((p1[0], p1[1] + p2[1]))
             i += 1
             j += 1
-        elif a1.key < a2.key:
-            pairs.append((a1, e1))
+        elif p1[0].key < p2[0].key:  # a pair of a monomial is kept, not rebuilt
+            pairs.append(p1)
             i += 1
         else:
-            pairs.append((a2, e2))
+            pairs.append(p2)
             j += 1
     pairs.extend(m1[i:])
     pairs.extend(m2[j:])
@@ -300,8 +300,10 @@ def _p_mul(a, b):
                     s *= dc
                 for m, cm in terms.items():
                     _add_term(out, m, c * cm)
+            elif c := c + out.get(m := tuple(pairs), 0):  # _add_term, inline in the hot loop
+                out[m] = c
             else:
-                _add_term(out, tuple(pairs), c)
+                del out[m]
     return _reduced(out, da * db * s)
 
 
@@ -424,7 +426,8 @@ class ScalarExpr:
         """The flat keys of num and den, one after the other, built on first
         use: function atoms are keyed on it, and it fixes the hash."""
         if self._sorted_key is None:
-            self._sorted_key = _poly_key(self._p) + _poly_key(self._q)
+            den = _ONE_KEY if self._q is _P_ONE else _poly_key(self._q)
+            self._sorted_key = _poly_key(self._p) + den
         return self._sorted_key
 
     @staticmethod
@@ -594,10 +597,10 @@ class ScalarExpr:
                 f"expression uses axis {top} but only "
                 f"{len(replacements)} replacements were given"
             )
-        images = {}
+        images, powers = {_var_atom(i): r for i, r in enumerate(replacements)}, {}
         for a in _walk((self,)):
-            images[a] = _FUNC_CONSTRUCTORS[a.name](_substitute(a.arg, replacements, images))
-        return _substitute(self, replacements, images)
+            images[a] = _FUNC_CONSTRUCTORS[a.name](_substitute(a.arg, images, powers))
+        return _substitute(self, images, powers)
 
     def substitute_axis(self, axis: int, value) -> "ScalarExpr":
         """Substitute a single axis, leaving all others alone."""
@@ -652,6 +655,7 @@ def _poly_key(p):
 
 ZERO = ScalarExpr(_P_ZERO, _P_ONE)
 ONE = ScalarExpr(_P_ONE, _P_ONE)
+_ONE_KEY = _poly_key(_P_ONE)  # the key of most denominators
 
 
 def as_expr(x) -> ScalarExpr:
@@ -680,18 +684,23 @@ def constant(c) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # Loose values
 #
-# A parser combines numbers and polynomials before it knows whether a quotient
-# or a function follows, so it holds a value loosely: an int or Fraction, a
-# polynomial (a (terms, d) pair), or a ScalarExpr with a denominator.  Each
-# loose operation takes the step that ScalarExpr arithmetic takes on the same
-# operands, through the same _p_* calls, so its result is the ScalarExpr result
+# The parser, form arithmetic, differentiation and substitution hold an
+# intermediate value loosely: an int or Fraction, a polynomial (a (terms, d)
+# pair), or a ScalarExpr.  Each loose operation takes the step that ScalarExpr
+# arithmetic takes on the same operands, so its result is the ScalarExpr result
 # down to the order of its terms; on numbers and polynomials it builds no
-# ScalarExpr, calls no _make and, but for negation, returns a polynomial.
+# ScalarExpr, calls no _make and, but for negation, returns a polynomial.  Test
+# a loose value for zero with loose_is_zero, as a pair is always truthy.
 
 
-def loose(e: ScalarExpr):
-    """e as a loose value: its numerator where its denominator is 1."""
-    return e._p if _p_is_const(e._q) else e
+def loose(v):
+    """v as a loose value: a ScalarExpr's numerator where its denominator is 1."""
+    return v._p if type(v) is ScalarExpr and _p_is_const(v._q) else v
+
+
+def loose_is_zero(v) -> bool:
+    """Whether a loose value is zero, tested by its kind: a pair is truthy."""
+    return not v[0] if type(v) is tuple else v.is_zero() if type(v) is ScalarExpr else v == 0
 
 
 def tight(v) -> ScalarExpr:
@@ -699,10 +708,7 @@ def tight(v) -> ScalarExpr:
     return v if type(v) is ScalarExpr else ScalarExpr(_loose_poly(v), _P_ONE)
 
 
-def loose_constant(c):
-    return _coerce_fraction(c)
-
-
+@functools.cache  # one pair per axis, as no polynomial is changed in place
 def loose_variable(axis: int):
     return {((_var_atom(axis), 1),): 1}, 1
 
@@ -718,16 +724,23 @@ def loose_add(a, b):
 
 
 def loose_mul(a, b):
+    """a*b; a nonzero constant scales a longer factor, as _p_mul would."""
     if type(a) is ScalarExpr or type(b) is ScalarExpr:
         return loose(tight(a) * tight(b))
-    return _p_mul(_loose_poly(a), _loose_poly(b))
+    a, b = _loose_poly(a), _loose_poly(b)
+    if len(a[0]) == 1 and _MONO_ONE in a[0]:
+        a, b = b, a
+    if len(b[0]) == 1 and _MONO_ONE in b[0] and len(a[0]) > 1:
+        return _p_scale(a, b[0][_MONO_ONE], b[1])
+    return _p_mul(a, b)
 
 
 def loose_div(a, b):
     """a/b for a nonzero b."""
-    if type(a) is ScalarExpr or type(b) not in (int, Fraction):
+    if type(a) is ScalarExpr or type(b) is ScalarExpr or type(b) is tuple and not _p_is_const(b):
         return loose(tight(a) / tight(b))
-    return _p_scale(_loose_poly(a), b.denominator, b.numerator)
+    n, d = (b.numerator, b.denominator) if type(b) is not tuple else (b[0][_MONO_ONE], b[1])
+    return _p_scale(_loose_poly(a), d, n)
 
 
 def loose_neg(v):
@@ -741,13 +754,12 @@ def loose_pow(v, k: int):
     return _p_pow(_loose_poly(v), k)
 
 
-def sum_terms(values) -> ScalarExpr:
+def sum_terms(values, poly=None, d=1) -> ScalarExpr:
     """The sum of loose values, by the one rule the symbolic layer adds many
-    terms with: numbers and polynomials add into one term dict in order,
-    quotients are added one by one after them, and the dict becomes a
-    ScalarExpr once, so no partial sum is copied."""
-    poly, d = {}, 1
-    quotients = ZERO
+    terms with: numbers and polynomials add into one term dict in order (poly
+    over d, if given), quotients are added one by one after them, and the
+    dict becomes a ScalarExpr once, so no partial sum is copied."""
+    poly, quotients = {} if poly is None else poly, ZERO
     for v in values:
         if type(v) is ScalarExpr:
             quotients = quotients + v
@@ -875,31 +887,41 @@ def _diff(e: ScalarExpr, axis: int, derivs) -> ScalarExpr:
 
 
 def _poly_diff(p, axis: int, derivs) -> ScalarExpr:
-    """dp/d(axis) term by term by the product rule, added by ``sum_terms``."""
-    def terms():
-        for m, c in p[0].items():
-            for i, (a, e) in enumerate(m):
-                if axis in a._axes:
-                    mono = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
-                    rest = _reduced({mono: c * e}, p[1])
-                    yield rest if a.kind == "v" else loose_mul(rest, loose(derivs[a]))
-    return sum_terms(terms())
+    """dp/d(axis) by the product rule, added as by ``sum_terms``, a variable's term in place."""
+    (terms, d), poly, quotients = p, {}, []
+    for m, c in terms.items():
+        for i, (a, e) in enumerate(m):
+            if axis in a._axes:
+                mono = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
+                if a.kind == "v":
+                    _add_term(poly, mono, c * e * (d // p[1]))
+                elif type(v := loose_mul(_reduced({mono: c * e}, p[1]), loose(derivs[a]))) is tuple:
+                    d = _p_add_into(poly, d, v)
+                else:
+                    quotients.append(v)
+    return sum_terms(quotients, poly, d)
 
 
-def _substitute(e: ScalarExpr, replacements, images) -> ScalarExpr:
-    """e with axis i -> replacements[i] and each function atom a -> images[a]."""
-    num, den = (_poly_substitute(p, replacements, images) for p in (e._p, e._q))
+def _substitute(e: ScalarExpr, images, powers) -> ScalarExpr:
+    """e with each atom a replaced by images[a], its powers kept in powers."""
+    num = _poly_substitute(e._p, images, powers)
+    if _p_is_const(e._q) and _p_is_const(num._q):  # num / 1 would make num again
+        return num
+    den = _poly_substitute(e._q, images, powers)
     if den.is_zero():
         raise SingularityError("substitution makes the denominator zero")
     return num / den
 
 
-def _poly_substitute(p, replacements, images) -> ScalarExpr:
-    def image(a):
-        return replacements[a.axis] if a.kind == "v" else images[a]
-    return sum_terms(loose(math.prod((image(a) ** e for a, e in m),
-                                     start=ScalarExpr(_reduced({_MONO_ONE: c}, p[1]), _P_ONE)))
-                     for m, c in p[0].items())
+def _poly_substitute(p, images, powers) -> ScalarExpr:
+    def term(m, c):
+        v = _reduced({_MONO_ONE: c}, p[1])
+        for a, e in m:
+            if (a, e) not in powers:
+                powers[a, e] = loose_pow(loose(images[a]), e)
+            v = loose_mul(v, powers[a, e])
+        return v
+    return sum_terms(term(m, c) for m, c in p[0].items())
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,12 @@ class TestHostileInput:
 
     def test_wedge_in_a_map_is_two(self, capsys):
         err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u) = u/\\u", "--form", "dx")
-        assert err == "error: /\\ wedges forms, not scalars (at position 1)\n"
+        assert err == "error: /\\ wedges forms, not scalars (at position 10)\n"
+
+    def test_map_fault_is_placed_in_the_map_text(self, capsys):
+        err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u, v) = u; v +* 2",
+                                 "--form", "x*dy")
+        assert err == "error: unexpected token '*' (at position 18)\n"
 
     def test_non_finite_point_is_two(self, capsys):
         self.fails_cleanly(capsys, 2, "eval", "--form", "x", "--point", "nan", "--dim", "1", "--json")

@@ -1,9 +1,14 @@
 """Exterior algebra: canonicalization, wedge, d, interior/Lie, bridges."""
 
+import hashlib
+import os
+import random
+import sys
+
 import pytest
 
 from extcalc import scalar as S
-from extcalc.errors import DegreeError, DimensionMismatch
+from extcalc.errors import DegreeError, DimensionMismatch, ParseError
 from extcalc.forms import (
     DifferentialForm,
     VectorFieldSym,
@@ -18,9 +23,12 @@ from extcalc.forms import (
     solid_angle_form,
     work_form,
 )
-from extcalc.parsing import parse_form
+from extcalc.parsing import parse_form, parse_map, parse_scalar
 
 from helpers import count_calls, make_rng, rand_form, rand_poly
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+import gen  # noqa: E402
 
 x, y, z = S.variable(0), S.variable(1), S.variable(2)
 DF = DifferentialForm
@@ -293,3 +301,98 @@ class TestStructure:
             assert parse_form(str(a), n) == a
         assert parse_form(str(angular_form()), 2) == angular_form()
         assert parse_form(str(solid_angle_form()), 3) == solid_angle_form()
+
+
+class TestLoosePathPin:
+    """The printed form, term order, keys and evaluation tapes of interior
+    products, composed maps, pullbacks through them and parsed forms with
+    wedges, quotients and division by scalars, from seeded ``perfbench/gen.py``
+    texts on R^2 to R^4, hashed: a change to how these results are built must
+    leave every text, term order, key and tape as it was."""
+
+    PIN = "ebb655e494c51949d6051ff89b8164dae212959187ef7c38abff48393ebe2fa9"
+
+    @staticmethod
+    def _describe(value):
+        if isinstance(value, S.ScalarExpr):
+            return [repr((str(value), value._key, S.Batch([value])._tape))]
+        if hasattr(value, "components"):
+            return [line for c in value.components for line in TestLoosePathPin._describe(c)]
+        return [f"{value.k} {value} {list(value.terms)}"] + [
+            f"{idx} {line}" for idx, c in value.terms.items()
+            for line in TestLoosePathPin._describe(c)]
+
+    @staticmethod
+    def _texts(rng, n):
+        """Form texts with wedges of two forms, quotient coefficients and
+        division by a number or by a scalar that cannot vanish."""
+        for kind in gen.COEFF_KINDS:
+            k = rng.randint(0, n)
+            yield gen.form(rng, n, k, kinds=(kind,))
+            a = gen.form(rng, n, rng.randint(0, n - 1), kinds=(kind,), max_terms=2)
+            b = gen.form(rng, n, rng.randint(0, 1), kinds=("poly", "exp"), max_terms=2)
+            yield f"({a})/\\({b})"
+            yield f"({a})/{rng.randint(2, 9)} - ({a})/\\({gen.poly(rng, gen.AXES[:n], 1, 2)})"
+            yield f"({a})/(({gen.poly(rng, gen.AXES[:n], 1, 2)})^2 + 1)"
+
+    def _lines(self):
+        from extcalc.maps import compose, pullback
+
+        rng = random.Random(20261020)
+        for n in (2, 3, 4, 2, 3, 4):
+            names = gen.AXES[:n]
+            for text in self._texts(rng, n):
+                yield text
+                yield from self._describe(parse_form(text, n))
+            for kind in gen.COEFF_KINDS:
+                a = parse_form(gen.form(rng, n, rng.randint(1, n), kinds=(kind,)), n)
+                v = VectorFieldSym(n, [S.ScalarExpr.constant(0) if rng.random() < 0.2 else
+                                       parse_scalar(gen.coefficient(rng, names, "poly"), n)
+                                       for _ in range(n)])
+                yield from self._describe(interior_product(v, a))
+            for _ in range(4):
+                p, q = rng.randint(1, 3), rng.randint(1, 3)
+                g = parse_map(gen.smooth_map(rng, p, q, trig=False))
+                h = parse_map(gen.smooth_map(rng, q, n))
+                hg = compose(h, g)
+                yield from self._describe(hg)
+                w = parse_form(gen.form(rng, n, rng.randint(0, min(p, n)),
+                                        kinds=("poly", "exp", "sin", "cos"), max_terms=2), n)
+                yield from self._describe(pullback(hg, w))
+
+    def test_texts_order_keys_and_tapes_are_pinned(self):
+        lines = list(self._lines())
+        assert len(lines) > 300
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PIN, digest
+
+
+# each fault of a form operation in the parser, with its text and position
+FORM_FAULTS = [
+    ("form", "x*dy + dx/\\dy", 3, "cannot add forms of different degree (at position 5)"),
+    ("form", "(x*dx - dy) + 1", 3, "cannot add forms of different degree (at position 12)"),
+    ("form", "y*dx - 2", 2, "cannot add forms of different degree (at position 5)"),
+    ("form", "x*(dx + dy)*(y*dz)", 3,
+     "use /\\ to multiply forms of positive degree (at position 11)"),
+    ("form", "(dx/\\dy)*dz*x", 3, "use /\\ to multiply forms of positive degree (at position 8)"),
+    ("form", "(x + 1)/(y*dx)", 2, "cannot divide by a form of positive degree (at position 7)"),
+    ("form", "dx/(dy/\\dz)", 3, "cannot divide by a form of positive degree (at position 2)"),
+    ("form", "x*dy/(1/2 - 2/4)", 2, "division by zero (at position 4)"),
+    ("form", "dx/\\dy/(x*0)", 2, "division by zero (at position 6)"),
+    ("form", "dx/((dx - dx)/\\dy + 0)", 2, "division by zero (at position 2)"),
+    ("form", "exp(x*dy)", 2, "exp() takes a scalar argument (at position 0)"),
+    ("form", "x + sqrt(dx/\\dy)", 2, "sqrt() takes a scalar argument (at position 4)"),
+    ("form", "(dx + dy)^2", 2, "^ applies to scalars, not forms (at position 9)"),
+    ("form", "x*dy^-1", 2, "^ applies to scalars, not forms (at position 4)"),
+    ("scalar", "x + y/\\x - 1", 2, "/\\ wedges forms, not scalars (at position 5)"),
+    ("scalar", "(x/\\y)^2", 2, "^ applies to scalars, not forms (at position 6)"),
+    ("scalar", "sin(x/\\y)", 2, "sin() takes a scalar argument (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("fn, text, n, message", FORM_FAULTS,
+                         ids=[f"{fn}-{i}" for i, (fn, *_) in enumerate(FORM_FAULTS)])
+def test_form_fault_text_and_position(fn, text, n, message):
+    with pytest.raises(ParseError) as err:
+        (parse_form if fn == "form" else parse_scalar)(text, n)
+    assert str(err.value) == message
