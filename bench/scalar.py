@@ -16,6 +16,10 @@ one operation to every input and reports the time per operation:
 * parse: ``parse_form`` of the form texts;
 * parse_scalar, parse_map: ``parse_scalar`` of the coefficient texts and
   ``parse_map`` of the map texts;
+* parse_coarse: per job of the ``quad_coarse`` benchmark, ``parse_form`` of
+  its form and ``parse_map`` of its chart, made by that workload's
+  generators (``gen.form`` with polynomial coefficients and
+  ``gen.perturbed_box_map``) from their own seed;
 * add, mul: ``a + b`` and ``a * b`` of consecutive coefficients;
 * substitute: a coefficient through the components of a map into its space;
 * differentiate: a coefficient along each of its axes;
@@ -89,6 +93,12 @@ def _rows():
              for depth in (25, 50, 75)}
     charts = [ec.parse_map(gen.perturbed_box_map(rng, 3)) for _ in range(COUNT)]
     jets = [list(g.components) + [e for row in g.jacobian() for e in row] for g in charts]
+    coarse_rng, coarse = random.Random(1), []  # as perfbench's QuadCoarse draws its jobs
+    for _ in range(COUNT):
+        k = coarse_rng.randint(1, 3)
+        coarse.append((k, gen.form(coarse_rng, k, k - 1, kinds=("poly",)),
+                       gen.perturbed_box_map(coarse_rng, k)))
+        coarse_rng.randint(5, 10)  # the job's quadrature order
 
     def criterion_2():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -98,6 +108,8 @@ def _rows():
         "parse": ("us/op", COUNT, lambda: [ec.parse_form(t, n) for n, t, _ in forms]),
         "parse_scalar": ("us/op", COUNT, lambda: [ec.parse_scalar(c, n) for n, c, _ in texts]),
         "parse_map": ("us/op", COUNT, lambda: [ec.parse_map(g) for _, _, g in texts]),
+        "parse_coarse": ("us/op", COUNT, lambda: [
+            (ec.parse_form(w, k), ec.parse_map(g)) for k, w, g in coarse]),
         "add": ("us/op", COUNT, lambda: [a + b for (_, a), (_, b) in pairs]),
         "mul": ("us/op", COUNT, lambda: [a * b for (_, a), (_, b) in pairs]),
         "substitute": ("us/op", COUNT, lambda: [

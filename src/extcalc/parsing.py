@@ -24,20 +24,25 @@ power or a function needs a ScalarExpr.  A form is its degree and
 {multi-index: loose value}, a form atom {(axis,): 1}, until the one
 DifferentialForm of the text is made.  The loose operations take the steps
 of ScalarExpr and DifferentialForm arithmetic, so the value is the same,
-down to the order of its terms and of a form's multi-indices.
+down to the order of its terms and of a form's multi-indices.  Where no
+'*', '/' or '/\\' is pending, a run of numbers and variables is one monomial,
+made once (``a/2*x`` stays ``(a/2)*x``); at a group's start, the runs joined
+by '+' and '-' that follow are added into one term dict in place.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, json_list
 from .forms import DifferentialForm, _add_term, _wedge_terms
 from .maps import SmoothMap
-from .scalar import (ScalarExpr, cos, exp, ln, loose, loose_add, loose_div, loose_is_zero,
-                     loose_mul, loose_neg, loose_pow, loose_variable, sin, sqrt, tight)
+from .scalar import (ScalarExpr, _loose_poly, _p_add_into, _reduced, cos, exp, ln, loose, loose_add,
+                     loose_div, loose_is_zero, loose_monomial, loose_mul, loose_neg, loose_pow,
+                     loose_variable, sin, sqrt, tight)
 
 _FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
 
@@ -57,6 +62,8 @@ _SPOTS_RE = re.compile(rf"\s*(?:({_TOKEN})|\S)")
 # binding powers: '+' and '-' 2, a leading '-' 3, '*', '/' and '/\' 4; an
 # open group is 0, and any other token (1) closes the innermost group
 _PREC = {"+": 2, "-": 2, "*": 4, "/": 4, "/\\": 4}
+# what can go on from a leaf in a run, the signs of a sum, and what can end a sum's term
+_JOINS, _SIGNS, _ENDS = ("*", "/", "^"), ("+", "-"), ("+", "-", ")", "")
 
 # a form while a text is parsed: its degree and {multi-index: nonzero loose value}
 _Form = namedtuple("_Form", "k terms")
@@ -123,10 +130,54 @@ def _binary(op, a, b, i):
     return _Form(a.k, {j: v for j, c in a.terms.items() if not loose_is_zero(v := loose_mul(c, b))})
 
 
-def _leaf(tok, i, n, names, forms):
-    """The value of a number, variable or form symbol token."""
-    if tok[:1].isdecimal():
+def _number(tok, i):
+    """The int or Fraction of the number literal at token index i."""
+    try:
         return Fraction(tok) if "." in tok else int(tok)
+    except ValueError as err:  # more digits than int() reads
+        raise _Fault(f"number literal longer than {sys.get_int_max_str_digits()} digits",
+                     i) from err
+
+
+def _run(toks, i, n, names, extend):
+    """The number or scalar variable at token i and the index after it, or None
+    where it is neither; where extend, the run it starts: leaves joined by '*'
+    or by '/' before a nonzero number, each maybe to a natural power by a '^'
+    that no '^' follows, as one monomial (a lone leaf stays as it is)."""
+    first, end, num, den, exps, op = i, i, 1, 1, {}, "*"
+    while True:  # the leaf at i is the number c, or the variable axis where c is None
+        if (tok := toks[i])[:1].isdecimal():
+            if not (c := _number(tok, i)) and op == "/":  # the '/' raises it
+                break
+        elif op == "*" and (axis := names.get(tok)) is not None and axis < n:
+            c = None
+        elif i == first:
+            return None
+        else:
+            break
+        if i == first:
+            value = loose_variable(axis) if c is None else c
+            if not extend or toks[i + 1] not in _JOINS:
+                return value, i + 1
+        j, k = i + 1, 1
+        if toks[j] == "^":
+            if not (e := toks[j + 1])[:1].isdecimal() or "." in e or toks[j + 2] == "^":
+                break
+            j, k = j + 2, _number(e, j + 1)
+        if c is None:
+            exps[axis] = exps.get(axis, 0) + k
+        elif op == "/":
+            num, den = num * c.denominator ** k, den * c.numerator ** k
+        else:
+            num, den = num * c.numerator ** k, den * c.denominator ** k
+        end, op, i = j, toks[j], j + 1
+        if op != "*" and op != "/":
+            break
+    return (value, first + 1) if end <= first + 1 else (loose_monomial(num, den, exps), end)
+
+
+def _leaf(tok, i, n, names, forms):
+    """The value of a form symbol token; the fault of any other token but a leaf."""
     if tok in _FORM_NAMES:
         if not forms:
             raise _Fault(f"form symbol {tok!r} is not a scalar token", i)
@@ -138,15 +189,14 @@ def _leaf(tok, i, n, names, forms):
         raise _Fault(f"unexpected token {tok!r}", i)
     if (axis := names.get(tok)) is None:
         raise _Fault(f"unknown variable {tok!r}", i)
-    if axis >= n:
-        raise _Fault(f"variable {tok!r} refers to axis {axis} outside dimension {n}", i)
-    return loose_variable(axis)
+    raise _Fault(f"variable {tok!r} refers to axis {axis} outside dimension {n}", i)
 
 
 def _read(toks, n, names, forms):
-    """The value of the tokens.  At an operand: a leading '-', a group or a leaf;
-    after one: a '^', the operators that bind at least as tightly as the next
-    token, then that token is pushed or closes the innermost group."""
+    """The value of the tokens.  At an operand: a leading '-', a group, or a leaf
+    or run and, at a group's start, the sum it starts; after one: a '^', the
+    operators that bind at least as tightly as the next token, then that token
+    is pushed or closes the innermost group."""
     ops = [(0, None, 0)]  # (binding power, operator or group, token index)
     lefts, i, depth, start = [], 0, 0, True  # lefts: the left operand of each operator
     while True:
@@ -163,7 +213,22 @@ def _read(toks, n, names, forms):
             if depth > _MAX_DEPTH:
                 raise _Fault(f"nesting deeper than {_MAX_DEPTH} levels", i)
             continue
-        value, i, start = _leaf(tok, i, n, names, forms), i + 1, False
+        if (run := _run(toks, i, n, names, ops[-1][0] < 4)) is None:  # a run if no '*' is pending
+            value, i = _leaf(tok, i, n, names, forms), i + 1
+        else:
+            value, i = run
+            if start and toks[i] in _SIGNS:  # a group's sum; a leading '-' binds its first term
+                terms = [loose_neg(value) if ops[-1][1] == "neg" and ops.pop() else value]
+                while toks[i] in _SIGNS and (run := _run(toks, i + 1, n, names, True)) \
+                        and toks[run[1]] in _ENDS:  # a run that ends a term
+                    terms.append(run[0] if toks[i] == "+" else loose_neg(run[0]))
+                    i = run[1]
+                value, poly, d = terms[0], {}, 1
+                if len(terms) > 1:  # added in place, with one reduction
+                    for v in terms:
+                        d = _p_add_into(poly, d, _loose_poly(v))
+                    value = _reduced(poly, d)
+        start = False
         while True:
             if toks[i] == "^":
                 j = i + 1 + (toks[i + 1] == "-")
@@ -171,8 +236,9 @@ def _read(toks, n, names, forms):
                     raise _Fault("expected an integer exponent", j)
                 if type(value) is _Form:
                     raise _Fault("^ applies to scalars, not forms", i)
+                k = _number(toks[j], j)
                 try:
-                    value = loose_pow(value, -int(toks[j]) if j > i + 1 else int(toks[j]))
+                    value = loose_pow(value, -k if j > i + 1 else k)
                 except Exception as err:  # zero to a negative power
                     raise _Fault(str(err), i) from err
                 i = j + 1

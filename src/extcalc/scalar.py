@@ -713,6 +713,14 @@ def loose_variable(axis: int):
     return {((_var_atom(axis), 1),): 1}, 1
 
 
+def loose_monomial(n: int, d: int, exps):
+    """n/d, for ints n >= 0 and d > 0, times each axis in exps to its exponent."""
+    if not n:
+        return _P_ZERO
+    g = math.gcd(n, d)
+    return {tuple([(_var_atom(a), e) for a, e in sorted(exps.items()) if e]): n // g}, d // g
+
+
 def _loose_poly(v):
     return v if type(v) is tuple else _p_const(v)
 
@@ -724,7 +732,12 @@ def loose_add(a, b):
 
 
 def loose_mul(a, b):
-    """a*b; a nonzero constant scales a longer factor, as _p_mul would."""
+    """a*b; a nonzero constant scales a longer factor, as _p_mul would, and the
+    int 1 gives the other factor, as _p_mul gives it for _P_ONE."""
+    if type(a) is int and a == 1:
+        return b
+    if type(b) is int and b == 1:
+        return a
     if type(a) is ScalarExpr or type(b) is ScalarExpr:
         return loose(tight(a) * tight(b))
     a, b = _loose_poly(a), _loose_poly(b)
@@ -1165,8 +1178,7 @@ def _poly_terms(p, n: int, names):
     return out
 
 
-def _poly_str(p, n: int, names) -> str:
-    terms = _poly_terms(p, n, names)
+def _poly_str(terms) -> str:
     if not terms:
         return "0"
     first_sign, first_body = terms[0]
@@ -1188,13 +1200,13 @@ def format_expr(e: ScalarExpr, n: int | None = None) -> str:
 
 
 def _expr_str(e: ScalarExpr, n: int, names) -> str:
-    num_str = _poly_str(e._num, n, names)
+    num_str = _poly_str(_poly_terms(e._num, n, names))
     if _p_is_const(e._q):
         return num_str
     if len(e._p[0]) > 1:
         num_str = f"({num_str})"
     den_terms = _poly_terms(e._den, n, names)
-    den_str = _poly_str(e._den, n, names)
+    den_str = _poly_str(den_terms)
     simple = (
         len(den_terms) == 1
         and den_terms[0][0] == "+"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -376,6 +377,13 @@ class TestHostileInput:
     def test_wedge_in_a_map_is_two(self, capsys):
         err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u) = u/\\u", "--form", "dx")
         assert err == "error: /\\ wedges forms, not scalars (at position 10)\n"
+
+    def test_number_past_the_digit_limit_is_two(self, capsys):
+        # it was the ValueError of int(), exit 1, with no position
+        digits = sys.get_int_max_str_digits()
+        err = self.fails_cleanly(capsys, 2, "d", "--form", "7" * (digits + 1) + "*x*dy",
+                                 "--dim", "2")
+        assert err == f"error: number literal longer than {digits} digits (at position 0)\n"
 
     def test_map_fault_is_placed_in_the_map_text(self, capsys):
         err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u, v) = u; v +* 2",

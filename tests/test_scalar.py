@@ -199,11 +199,12 @@ class TestEvaluate:
         # its coefficient times its factors left to right, added left to
         # right (1.0 * v and v ** 1 are v exactly)
         poly, _ = self.product_of_sums((18, 18, 16))
-        assert len(poly._num) >= 5000
+        coefs = poly._num  # a property that builds a new dict at each read
+        assert len(coefs) >= 5000
         for point in [(0.5, 0.75, 1.25), (-1.1, 0.3, 0.9), (1.7, -0.6, -1.3)]:
             want = None
-            for m in sorted(poly._num, key=S._grlex):
-                term = float(poly._num[m])
+            for m in sorted(coefs, key=S._grlex):
+                term = float(coefs[m])
                 for a, e in m:
                     term = term * point[a.axis] ** e
                 want = term if want is None else want + term
