@@ -13,6 +13,7 @@ from .scalar import (
     Batch,
     ScalarExpr,
     ZERO,
+    _poly_str,
     as_expr,
     axis_name,
     format_coefficient,
@@ -222,8 +223,6 @@ class DifferentialForm:
     # -- presentation ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for idx in sorted(self.terms):
             c = self.terms[idx]
@@ -241,11 +240,7 @@ class DifferentialForm:
                 sign, coeff_body = format_coefficient(c, self.n)
                 body = f"{coeff_body}*{dx_part}"
             pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = [first_body if first_sign == "+" else f"-{first_body}"]
-        for sign, body in pieces[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+        return _poly_str(pieces)
 
     def __repr__(self):
         return f"DifferentialForm({self.n}, {self.k}, {self})"

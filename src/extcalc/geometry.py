@@ -9,6 +9,8 @@ Curvature is exact up to rounding: the first and second derivatives of a
 surface parametrization are differentiated symbolically once per map and
 evaluated at the nodes.  K = (LN - M^2)/(EG - F^2), and the shape operator
 is -I^{-1} II, whose determinant K does not depend on the orientation.
+Every integral here is summed by ``integrate._quadrature``, the one
+quadrature core, which names the first node whose value is not finite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     SingularityError,
 )
 from .forms import DifferentialForm, angular_form, solid_angle_form
-from .integrate import _finite_sum, _layout, integrate, integrate_cell
+from .integrate import _finite_sum, _quadrature, integrate, integrate_cell
 from .maps import SmoothMap, compose, pullback
 from .scalar import first_node, variable
 
@@ -194,15 +196,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _first_node(cols, bad):
-    """``first_node`` for a mask that broadcasts to the grid's shape."""
-    import numpy as np
-
-    if not bad.any():
-        return None
-    return first_node(cols, np.broadcast_to(bad, np.broadcast_shapes(*map(np.shape, cols))))
-
-
 def _surface_frame(cell: Cell, cols, order=1):
     """Exact tangents r_s, r_t, the oriented unit normal and the area
     element |r_s x r_t| at the nodes, and for order 2 also the exact r_ss,
@@ -233,10 +226,10 @@ def _surface_frame(cell: Cell, cols, order=1):
         area = np.sqrt(square)
         frame = [r_s, r_t, [cell.orientation * c / area for c in cross], area]
         flat = square <= 1e-24 * _dot(r_s, r_s) * _dot(r_t, r_t)
-    node = _first_node(cols, flat & np.isfinite(square))
+    node = first_node(cols, flat & np.isfinite(square))
     if node is not None:
         raise RankDeficientError(f"rank-deficient node {node}")
-    node = _first_node(cols, ~np.isfinite(area))
+    node = first_node(cols, ~np.isfinite(area))
     if node is not None:
         raise SingularityError(f"area element not finite at node {node}")
     if order == 2:
@@ -286,18 +279,13 @@ class Surface:
 
 
 def _surface_integral(surface: Surface, spec, density) -> float:
-    """Quadrature of density(cell, grid) over every cell, on the open grid
-    and weights of its box that ``integrate._layout`` laid out and keeps,
-    the nodes of each cell summed as ``np.sum`` sums a flat column and the
-    cells in order."""
-    import numpy as np
-
+    """Quadrature of density(cell, grid) over the cells, one at a time, in order."""
     q = quad_points(spec)
     total = 0.0
     for cell in surface.cells:
-        grid, weights = _layout((cell.box,), q)
-        with np.errstate(all="ignore"):
-            total += float(np.sum((weights * density(cell, grid)).ravel()))
+        def fill(out, grid):
+            out[...] = density(cell, grid)
+        total += _quadrature((cell.box,), q, fill)[0]
     return _finite_sum(total)
 
 
@@ -361,12 +349,13 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
     The kernel det[g1'(s), g2'(t), g1(s) - g2(t)] / |g1(s) - g2(t)|^3 is the
     coefficient of the pullback of the solid-angle form through
     (s, t) -> (g2(t) - g1(s)) / |...|, frozen here and cross-checked against
-    the generic symbolic pullback in the test suite.  Returns
-    (value, nearest integer).  Two loops whose samples, _GUARD_SAMPLES on
-    each, come within 1e-3 times the larger loop extent of each other are
-    rejected rather than integrated, and the error names the least sampled
-    distance.  A guard or kernel that overflows warns nothing, and a sum
-    that is not finite raises SingularityError.
+    the generic symbolic pullback in the test suite, and integrated over the
+    product of the loops' boxes.  Returns (value, nearest integer).  Two
+    loops whose samples, _GUARD_SAMPLES on each, come within 1e-3 times the
+    larger loop extent of each other are rejected rather than integrated,
+    and the error names the least sampled distance.  A guard or kernel that
+    overflows warns nothing; the first node pair whose kernel value is not
+    finite is named, and a sum that is not finite raises SingularityError.
     """
     import numpy as np
 
@@ -383,14 +372,19 @@ def linking_number(loop1: Loop, loop2: Loop, spec=32):
                 f"loops come within {min_gap:.3e} of each other; "
                 "the linking integrand is nearly singular"
             )
-        pos1, vel1, w1 = _loop_tables(loop1, q)
-        pos2, vel2, w2 = _loop_tables(loop2, q)
+
+    def fill(out, grid):
+        # positions and velocities (m x q), each loop's jet run and checked on its own axis
+        pos1, jac1 = loop1.cell.mapping.columns([grid[0]])
+        pos2, jac2 = loop2.cell.mapping.columns([grid[1]])
         # by components, each on the (q, q) plane of node pairs
         diff = [a[:, None] - b for a, b in zip(pos1, pos2)]
         dist = np.sqrt(_dot(diff, diff))
         # det[g1', g2', diff] as the triple product (g1' x g2') . diff
-        triple = _dot(_cross(vel1[:, :, None], vel2[:, None, :]), diff)
-        total = _finite_sum(float(np.sum(np.outer(w1, w2) * (triple / dist**3))))
+        triple = _dot(_cross(jac1[:, 0, :, None], jac2[:, 0, None, :]), diff)
+        out[0] = triple / dist**3
+
+    (total,) = _quadrature((loop1.cell.box + loop2.cell.box,), q, fill)
     value = loop1.cell.orientation * loop2.cell.orientation * total / (4 * math.pi)
     return value, round(value)
 
@@ -437,14 +431,6 @@ def _runs(points: np.ndarray) -> np.ndarray:
     cols = points.T
     pad = np.repeat(cols[:, -1:], -len(points) % _RUN, axis=1)
     return np.concatenate([cols, pad], axis=1).reshape(len(cols), -1, _RUN)
-
-
-def _loop_tables(loop: Loop, q: int):
-    """Positions and velocities (m x q arrays) at the Gauss-Legendre nodes
-    of the layout ``integrate._layout`` keeps, and the node weights."""
-    grid, weights = _layout((loop.cell.box,), q)
-    values, jac = loop.cell.mapping.columns(grid)
-    return values, jac[:, 0], weights.ravel()
 
 
 def _loop_extent(points: np.ndarray) -> float:

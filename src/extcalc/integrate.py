@@ -7,28 +7,24 @@ sum_I a_I(g(u)) det(dg_I/du) (Spivak, Calculus on Manifolds, ch. 4): the
 map's components and Jacobian come from the evaluation tape of its batch,
 the coefficients a_I are evaluated on the component values by the tape of
 the form's batch, and each k x k minor is an explicit sum of products, so
-no pulled-back form is built.  ``box_rule`` lays out the nodes of every
-quadrature in the package as an open grid: the i-th free axis is an array
-that varies along dimension i only, so numpy broadcasting computes a value
-of one parameter once per node of its axis, not once per node of the cell
-(the first step of sum factorization; Orszag, J. Comput. Phys. 37, 1980).
-A face is its parent cell with one parameter pinned, so it is integrated
-through the parent's map with the pinned column of the Jacobian left out;
-a derivative along the pinned axis, even a singular one, never reaches the
-integrand.  ``integrate`` takes each run of chain terms through one map,
-such as the faces of a boundary, as one group (a lone cell is a group of
-one): its nodes are one open grid with a leading cell dimension, laid out
-once per (boxes, q) and cached, over which the map's and the form's tapes
-run once.  A group holds about _BLOCK nodes, or one cell, evaluated in
-blocks of rows of its first free axis.  Then, cell by cell, in chain
-order, the first node in lexicographic order where the integrand or the
-map's value is not finite raises, and the scalar evaluators run at that one
-node to name the fault; or the cell's values are summed as ``np.sum``
-sums them alone, and a weighted sum of finite values that overflows raises.
-Nodes are summed in lexicographic order and chain terms in list order, so
-results are bit-reproducible and do not depend on the grouping.  Every node
-value comes from the column evaluators, whose guards give nan where the
-scalar evaluator would fail, and no integral comes back inf or nan.
+no pulled-back form is built.  ``box_rule`` lays out the nodes as an open
+grid: the i-th free axis is an array that varies along dimension i only, so
+numpy broadcasting computes a value of one parameter once per node of its
+axis (the first step of sum factorization; Orszag, J. Comput. Phys. 37,
+1980).  A face is its parent cell with one parameter pinned, integrated
+through the parent's map with the pinned column of the Jacobian left out,
+so a derivative along the pinned axis, even a singular one, never reaches
+the integrand.
+
+One quadrature core, ``_quadrature``, lays out, checks and sums every
+integral of the package: forms over chains here, and the Gauss-Bonnet,
+area and Gauss-map densities and the Gauss linking kernel of ``geometry``;
+each names the first node whose value is not finite.  ``integrate`` takes
+each run of chain terms through one map, such as the faces of a boundary,
+as one group of about _BLOCK nodes or one cell, over which the map's and
+the form's tapes run once.  Nodes are summed in lexicographic order and
+chain terms in list order, so results are bit-reproducible and do not
+depend on the grouping, and no integral comes back inf or nan.
 """
 
 from __future__ import annotations
@@ -129,13 +125,50 @@ def _cells(a, cut):
     return a if isinstance(a, float) or len(a) == 1 else a[cut]
 
 
+def _quadrature(boxes, q: int, fill, explain=lambda i, node: None) -> list:
+    """The quadrature sum over each box (one cell a box), in order.
+    fill(out, grid) writes the integrand at the nodes of ``_layout(boxes,
+    q)`` into out, in blocks of whole rows of the first free axis, at least
+    _BLOCK nodes a block (grid: the layout's arrays cut to the block; out:
+    the block of every cell).  Then, cell by cell, the first node in
+    lexicographic order whose value is not finite raises SingularityError
+    naming it, caused by the SingularityError of explain(i, node) for the
+    i-th cell (an OverflowError passes through) or else "not a finite
+    number"; or the cell's weighted values are summed along the fast axis,
+    as ``np.sum`` sums one cell alone, and a sum that is not finite raises."""
+    import numpy as np
+
+    grid, weights = _layout(boxes, q)
+    values = np.empty(weights.shape)
+    rows = -(-_BLOCK // (values[0].size // values.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, values.shape[1], rows):
+            cut = slice(start, start + rows)
+            fill(values[:, cut], [a if a.shape[1] == 1 else a[:, cut] for a in grid])
+        # a plain sum (no BLAS call) is finite where every value is; the mask only where not
+        bad = None if math.isfinite(values.sum()) else ~np.isfinite(values)
+        values *= weights
+        sums = values.reshape(len(values), -1).sum(axis=1).tolist()
+        for i, total in enumerate(sums):
+            if bad is not None and bad[i].any():
+                # named in the parent's parameter coordinates, pinned values included
+                node = first_node([_cells(a, slice(i, i + 1)) for a in grid], bad[i])
+                where = f"integrand singular at quadrature node {node}"
+                try:
+                    explain(i, node)
+                except SingularityError as err:
+                    err.node = node
+                    raise SingularityError(f"{where}: {err}") from err
+                raise SingularityError(f"{where}: not a finite number")
+            _finite_sum(total)
+        return sums
+
+
 def _integrals(form: DifferentialForm, cells, q: int) -> list:
     """Integrals of a k-form over oriented k-cells through one map, in
-    order.  At the first node of a cell where the integrand or the map's
-    value is not finite, the scalar evaluators run once: their
-    SingularityError is the cause of the one raised, an OverflowError
-    passes through, and if they raise nothing, the value is named not a
-    finite number."""
+    order: a node where the integrand or the map's value is not finite is a
+    fault, whose cause the scalar evaluators name.  A cell whose every
+    minor is identically zero integrates to 0.0, its nodes unchecked."""
     import numpy as np
 
     g = cells[0].mapping
@@ -146,57 +179,36 @@ def _integrals(form: DifferentialForm, cells, q: int) -> list:
     if not terms:
         return [0.0] * len(cells)
     batch, coeffs = g.batch(), form.batch(terms)
-    grid, weights = _layout(tuple(c.box for c in cells), q)
-    values = np.empty(weights.shape)
-    finite = np.empty(weights.shape, bool)
-    # whole rows of the first free axis, at least _BLOCK nodes a block
-    rows = -(-_BLOCK // (values[0].size // values.shape[1]))
-    with np.errstate(all="ignore"):
-        for start in range(0, values.shape[1], rows):
-            cut = slice(start, start + rows)
-            jet = batch.columns([a if a.shape[1] == 1 else a[:, cut] for a in grid])
-            # a constant component as an array, so that numpy, not Python's
-            # float **, raises it to powers, as on a flat column
-            comps = [np.atleast_1d(c) for c in jet[:m]]
-            cols = dict(zip(terms, coeffs.columns(comps)))
-            for part, free, need in runs:
-                if need:
-                    minors = _minors(
-                        lambda i, j: None if zero[i][j] else _cells(jet[m + i * n + j], part),
-                        need, free)
-                    values[part, cut] = sum(_cells(cols[t], part) * minor
-                                            for t, minor in zip(need, minors))
-            ok = np.isfinite(values[:, cut], out=finite[:, cut])
-            for c in comps:
-                ok &= np.isfinite(c)
-        values *= weights
-        # summed along the fast axis, as np.sum sums one cell alone
-        sums = values.reshape(len(cells), -1).sum(axis=1).tolist()
-        faulty = ~finite.reshape(len(cells), -1).all(1)
-        out = []
+
+    def fill(out, grid):
+        jet = batch.columns(grid)
+        # a constant component as an array, so that numpy, not Python's
+        # float **, raises it to powers, as on a flat column
+        comps = [np.atleast_1d(c) for c in jet[:m]]
+        cols = dict(zip(terms, coeffs.columns(comps)))
+        nonfinite = [c for c in comps if not math.isfinite(c.sum())]
         for part, free, need in runs:
-            for i in range(part.start, part.stop):
-                if not need:
-                    out.append(0.0)
-                    continue
-                if faulty[i]:
-                    # named in the parent's parameter coordinates, pinned values included
-                    node = first_node([_cells(a, slice(i, i + 1)) for a in grid], ~finite[i])
-                    where = f"integrand singular at quadrature node {node}"
-                    try:
-                        # the scalar evaluators, for the error they raise: g, each
-                        # Jacobian entry of a free column (a derivative along a
-                        # pinned axis is never evaluated), the coefficients
-                        comps = g(node)
-                        _minors(lambda r, j: None if zero[r][j] else jac[r][j].compiled()(node),
-                                need, free)
-                        form.batch(need).at(comps)
-                    except SingularityError as err:
-                        err.node = node
-                        raise SingularityError(f"{where}: {err}") from err
-                    raise SingularityError(f"{where}: not a finite number")
-                out.append(cells[i].orientation * _finite_sum(sums[i]))
-        return out
+            minors = _minors(lambda i, j: None if zero[i][j] else _cells(jet[m + i * n + j], part),
+                             need, free)
+            out[part] = sum(_cells(cols[t], part) * minor for t, minor in zip(need, minors))
+            # a node of a needed cell where the map's value is not finite is a fault too
+            for c in nonfinite if need else ():
+                np.copyto(out[part], np.nan, where=~np.isfinite(_cells(c, part)))
+
+    def explain(i, node):
+        # g, each Jacobian entry of a free column (a derivative along a
+        # pinned axis is never evaluated) and the coefficients, for their error
+        free, need = next((free, need) for part, free, need in runs if i < part.stop)
+        comps = g(node)
+        _minors(lambda r, j: None if zero[r][j] else jac[r][j].compiled()(node), need, free)
+        form.batch(need).at(comps)
+
+    sums = _quadrature(tuple(c.box for c in cells), q, fill, explain)
+    # a cell with no needed term keeps its sum of zeros, 0.0
+    for part, _, need in runs:
+        if need:
+            sums[part] = [c.orientation * s for c, s in zip(cells[part], sums[part])]
+    return sums
 
 
 @lru_cache(maxsize=1 << 12)

@@ -40,11 +40,10 @@ from fractions import Fraction
 from .errors import ParseError, json_list
 from .forms import DifferentialForm, _add_term, _wedge_terms
 from .maps import SmoothMap
-from .scalar import (ScalarExpr, _loose_poly, _p_add_into, _reduced, cos, exp, ln, loose, loose_add,
-                     loose_div, loose_is_zero, loose_monomial, loose_mul, loose_neg, loose_pow,
-                     loose_variable, sin, sqrt, tight)
-
-_FUNCS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
+from .scalar import _FUNC_CONSTRUCTORS as _FUNCS
+from .scalar import (ScalarExpr, _loose_poly, _p_add_into, _reduced, loose, loose_add, loose_div,
+                     loose_is_zero, loose_monomial, loose_mul, loose_neg, loose_pow,
+                     loose_variable, tight)
 
 _SCALAR_NAMES = {"x": 0, "y": 1, "z": 2, "t": 3, **{f"x{i}": i - 1 for i in range(1, 10)}}
 _FORM_NAMES = {"dx": 0, "dy": 1, "dz": 2, "dt": 3, **{f"dx{i}": i - 1 for i in range(1, 10)}}

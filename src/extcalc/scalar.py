@@ -35,11 +35,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    ExtcalcError,
     NotPolynomialError,
     ParseError,
     SingularityError,
@@ -1125,13 +1127,15 @@ def flat_nodes(grid) -> list:
 
 
 def first_node(cols, bad):
-    """The first node of the columns or open grid where the mask bad (of
-    their broadcast shape, or flat) is set, in the order of ``flat_nodes``,
-    as a tuple of floats (a point has one node and no axes); None where no
-    node is set."""
+    """The first node of the columns or open grid where the mask bad (which
+    broadcasts to their shape) is set, in the order of ``flat_nodes``, as a
+    tuple of floats (a point has one node and no axes); None where no node
+    is set."""
+    import numpy as np
+
     if not bad.any():
         return None
-    i = int(bad.ravel().argmax())
+    i = int(np.broadcast_to(bad, np.broadcast_shapes(*map(np.shape, cols))).argmax())
     return tuple(float(c[i]) for c in flat_nodes(cols))
 
 
@@ -1168,12 +1172,11 @@ def _poly_terms(p, n: int, names):
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         mono = _mono_str(m, n, names)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
+        try:
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        except ValueError:  # more digits than Python converts an int to
+            raise ExtcalcError(f"a coefficient of more than {sys.get_int_max_str_digits()} "
+                               "digits is too long to print") from None
         out.append((sign, body))
     return out
 

@@ -385,6 +385,13 @@ class TestHostileInput:
                                  "--dim", "2")
         assert err == f"error: number literal longer than {digits} digits (at position 0)\n"
 
+    def test_coefficient_past_the_digit_limit_is_one(self, capsys):
+        # 2^20000 parses, but its 6021 digits are more than str() writes
+        digits = sys.get_int_max_str_digits()
+        for extra in ((), ("--json",)):
+            err = self.fails_cleanly(capsys, 1, "d", "--form", "2^20000*x*dy", "--dim", "2", *extra)
+            assert err == f"error: a coefficient of more than {digits} digits is too long to print\n"
+
     def test_map_fault_is_placed_in_the_map_text(self, capsys):
         err = self.fails_cleanly(capsys, 2, "pullback", "--map", "map(u, v) = u; v +* 2",
                                  "--form", "x*dy")

@@ -671,6 +671,14 @@ class TestChainGroups:
         held = sum(a.nbytes for arrays in I._LAYOUTS.values() for a in arrays)
         assert held <= I._LAYOUT_BYTES
 
+    def test_cell_with_no_needed_term_is_not_checked(self):
+        # dx through (x, y/x): on the faces x = 1 and x = 0 the minor dx/dy
+        # is identically 0, so no node of them is evaluated into the sum,
+        # though y/x is not finite on x = 0
+        g = SmoothMap(2, 2, [x, y / x])
+        square = Cell(((0.0, 1.0), (0.0, 1.0)), g)
+        assert repr(integrate(DF(2, 1, {(0,): S.constant(1)}), boundary(square), 8)) == "0.0"
+
     def test_zero_weights_still_check_the_degree(self):
         square = sh.square_cell()
         for w in (0, 1):
@@ -678,6 +686,77 @@ class TestChainGroups:
                 integrate(DF(2, 1, {(0,): x}), Chain([(w, square)]))
             with pytest.raises(DimensionMismatch):
                 integrate(DF(3, 2, {(0, 1): x}), Chain([(w, square)]))
+
+
+class TestQuadratureCore:
+    """``_quadrature`` sums every cell or names the first node, in the order
+    of the cells and then of the nodes, whose value is not finite."""
+
+    BOXES = (((0.0, 1.0), (0.0, 2.0)), ((1.0, 2.0), (0.0, 1.0)))
+    # nan at node (2, 1) of the second cell, inf after it
+    FAULTY = {(1, 2, 2): math.inf, (1, 2, 1): math.nan}
+
+    @staticmethod
+    def _fill(values):
+        def fill(out, grid):
+            out[...] = 1.0
+            for index, value in values.items():
+                out[index] = value
+        return fill
+
+    @staticmethod
+    def _node():
+        # node (2, 1) of the second cell, where its layout puts it
+        nodes = np.polynomial.legendre.leggauss(3)[0]
+        return (float(1.5 + 0.5 * nodes[2]), float(0.5 + 0.5 * nodes[1]))
+
+    def test_finite_values_are_summed_per_cell(self):
+        from extcalc.integrate import _quadrature, box_rule
+
+        sums = _quadrature(self.BOXES, 3, self._fill({}))
+        assert sums == [float(np.sum(box_rule(box, 3)[1])) for box in self.BOXES]
+
+    def test_first_non_finite_node_is_named(self):
+        from extcalc.integrate import _quadrature
+
+        with pytest.raises(SingularityError) as err:
+            _quadrature(self.BOXES, 3, self._fill(self.FAULTY))
+        assert str(err.value) == (
+            f"integrand singular at quadrature node {self._node()}: not a finite number")
+        assert err.value.__cause__ is None
+
+    def test_explain_supplies_the_cause(self):
+        from extcalc.integrate import _quadrature
+
+        seen = []
+
+        def explain(cell, node):
+            seen.append((cell, node))
+            raise SingularityError("ln of a non-positive value")
+
+        with pytest.raises(SingularityError) as err:
+            _quadrature(self.BOXES, 3, self._fill(self.FAULTY), explain)
+        assert seen == [(1, self._node())]
+        assert str(err.value) == (
+            f"integrand singular at quadrature node {self._node()}: ln of a non-positive value")
+        assert err.value.__cause__.node == self._node()
+
+    def test_explain_overflow_passes_through(self):
+        from extcalc.integrate import _quadrature
+
+        def explain(cell, node):
+            raise OverflowError("math range error")
+
+        with pytest.raises(OverflowError, match="^math range error$"):
+            _quadrature(self.BOXES, 3, self._fill(self.FAULTY), explain)
+
+    def test_sum_fault_of_an_earlier_cell_comes_first(self):
+        from extcalc.integrate import _quadrature
+
+        # every value of the first cell is finite, but their weighted sum is not
+        with pytest.raises(SingularityError,
+                           match="^the weighted quadrature sum is not a finite number$"):
+            _quadrature(self.BOXES, 3, self._fill({0: 1e308, **self.FAULTY}))
 
 
 class TestBitIdentityPin:
