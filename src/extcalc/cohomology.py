@@ -2,8 +2,9 @@
 
 Good covers are encoded combinatorially: a Nerve records which finite
 intersections of cover elements are nonempty (and hence contractible).  Its
-Cech complex over Q computes the Betti numbers; ranks are found by exact
-sparse elimination, never by floating point.
+Cech complex over Q computes the Betti numbers; the coboundaries are sparse
+rows, ranked by exact sparse elimination from the top degree down, with
+clearing, never by floating point.
 
 The Mayer-Vietoris solver propagates rank-nullity bookkeeping through a long
 exact sequence: at every interior slot, dim = rank(incoming) + rank(outgoing).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, combinations, repeat
 
 from .errors import InconsistentSequenceError, ParseError, json_fields, json_list
 
@@ -22,55 +24,51 @@ from .errors import InconsistentSequenceError, ParseError, json_fields, json_lis
 # Exact linear algebra
 
 
-def _integral(row):
-    """row scaled by the lcm of its denominators, so that its entries are ints."""
-    den = math.lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+def _pivots(rows):
+    """The pivot columns of sparse rows {column: nonzero int}, by
+    fraction-free elimination on last columns; the rows given are unchanged.
+
+    While a row r's last column col is the pivot column of an earlier row,
+    with entry p there, r becomes p'*r - b'*pivot, where p'/b' is p/r[col]
+    in lowest terms with p' > 0; if p' > 1, r is then divided by the gcd of
+    its entries.  So a coboundary (entries 0, +-1) stays in small integers.
+    A row not reduced to zero adds its last column.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        col = max(row, default=None)
+        while (pivot := pivots.get(col)) is not None:
+            p, b = pivot[col], row[col]
+            g = math.gcd(p, b) if p > 0 else -math.gcd(p, b)
+            p, b = p // g, b // g
+            if p > 1:
+                for c in row:
+                    row[c] *= p
+            for c, x in pivot.items():
+                v = row.get(c, 0) - b * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if p > 1 and row and (g := math.gcd(*row.values())) > 1:
+                for c in row:
+                    row[c] //= g
+            # every column left is below col; col - 1 is the next one of a dense row
+            col = col - 1 if col - 1 in row else max(row, default=None)
+        if row:
+            pivots[col] = row
+    return pivots.keys()
 
 
 def rank_exact(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by fraction-free Gaussian
-    elimination over sparse rows {column: nonzero entry}.
-
-    Each step takes a shortest remaining row as the pivot row and pivots on
-    a +-1 entry where the row has one, so a coboundary (entries 0, +-1) stays
-    in the integers with little fill.  At the first pivot row with no such
-    entry the rows are scaled to clear their denominators; from then on, for
-    a pivot p other than +-1, a row r becomes p*r - r[col]*pivot divided by
-    the gcd of its entries, so that they stay small integers.
-    """
-    work = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    rank, integral = 0, False
-    while work := [row for row in work if row]:
-        lengths = list(map(len, work))
-        pivot = work.pop(lengths.index(min(lengths)))
-        col = next((c for c, x in pivot.items() if abs(x) == 1), None)
-        unit = col is not None
-        if not unit:
-            if not integral:
-                work, pivot, integral = [_integral(r) for r in work], _integral(pivot), True
-            col = next(iter(pivot))
-        p = pivot[col]
-        for row in work:
-            if col in row:
-                if unit:
-                    b = row[col] * p
-                else:
-                    b = row[col]
-                    for c in row:
-                        row[c] *= p
-                for c, x in pivot.items():
-                    v = row.get(c, 0) - b * x
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
-                if not unit:  # dividing out the content keeps the entries small
-                    g = math.gcd(*row.values())
-                    for c in row:
-                        row[c] //= g
-        rank += 1
-    return rank
+    """Rank of a matrix given as dense rows of int/Fraction entries, each
+    row scaled once to integers by the lcm of its denominators."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*[x.denominator for x in row])
+        scaled.append({c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x})
+    return len(_pivots(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -78,51 +76,45 @@ def rank_exact(rows) -> int:
 
 
 class Nerve:
-    """Downward-closed family of nonempty-intersection index sets."""
+    """Downward-closed family of nonempty-intersection index sets, kept as
+    ``levels``: levels[k] lists the k-simplices, sorted tuples, in order."""
 
-    __slots__ = ("vertices", "simplices")
+    __slots__ = ("vertices", "levels", "_simplices")
 
     def __init__(self, vertices: int, simplices):
         if vertices < 1:
             raise ParseError("a nerve needs at least one vertex")
-        closed = set()
+        levels = [set()]
         for s in simplices:
-            s = frozenset(s)
+            s = tuple(sorted(set(s)))
             if not s:
                 continue
-            if any(not 0 <= v < vertices for v in s):
-                raise ParseError(f"simplex {sorted(s)} mentions a missing vertex")
-            closed.add(s)
-        # complete downward closure and singletons
-        stack = list(closed)
-        while stack:
-            s = stack.pop()
-            if len(s) <= 1:
-                continue
-            for v in s:
-                face = s - {v}
-                if face not in closed:
-                    closed.add(face)
-                    stack.append(face)
-        for v in range(vertices):
-            closed.add(frozenset((v,)))
+            if not (0 <= s[0] and s[-1] < vertices):
+                raise ParseError(f"simplex {list(s)} mentions a missing vertex")
+            levels.extend(set() for _ in range(len(s) - len(levels)))
+            levels[len(s) - 1].add(s)
+        for k in range(len(levels) - 1, 1, -1):  # down to the edges: level 0 is every vertex
+            levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
+        levels[0] = [(v,) for v in range(vertices)]
         self.vertices = vertices
-        self.simplices = closed
+        self.levels = [sorted(level) for level in levels]
+        self._simplices = None
+
+    @property
+    def simplices(self):  # built on first read: most callers need only the levels
+        if self._simplices is None:
+            self._simplices = {frozenset(s) for level in self.levels for s in level}
+        return self._simplices
 
     def simplices_of_dimension(self, k: int):
-        return sorted(
-            tuple(sorted(s)) for s in self.simplices if len(s) == k + 1
-        )
+        return list(self.levels[k]) if 0 <= k < len(self.levels) else []
 
     @property
     def dimension(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.levels) - 1
 
     def euler_characteristic(self) -> int:
-        chi = 0
-        for k in range(self.dimension + 1):
-            chi += (-1) ** k * len(self.simplices_of_dimension(k))
-        return chi
+        return sum((-1) ** k * len(level) for k, level in enumerate(self.levels))
 
     @staticmethod
     def from_json(data) -> "Nerve":
@@ -134,41 +126,48 @@ class Nerve:
 
 
 class CochainComplex:
-    """Dimensions and coboundary matrices delta_k : C^k -> C^{k+1} over Q."""
+    """Dimensions and coboundaries delta_k : C^k -> C^{k+1} over Q, where
+    ``deltas[k]`` lists the dims[k+1] rows of delta_k as sparse rows
+    {column: nonzero int}; the last entry is empty.  ``betti`` assumes
+    delta_{k+1} delta_k = 0, which ``cech_complex`` guarantees."""
 
     def __init__(self, dims, deltas):
         self.dims = dims
-        self.deltas = deltas  # deltas[k] has shape (dims[k+1], dims[k]); last entry empty
+        self.deltas = deltas
 
     def betti(self):
-        out = []
-        prev_rank = 0
-        for k, dim in enumerate(self.dims):
-            rank = rank_exact(self.deltas[k]) if k < len(self.deltas) else 0
-            out.append(dim - rank - prev_rank)
-            prev_rank = rank
-        return out
+        """b_k = dims[k] - rank delta_k - rank delta_{k-1}, ranked from the
+        top degree down with clearing: the rows of delta_k at the pivot
+        columns of delta_{k+1} are left out.
+
+        That keeps the rank: a pivot row z of delta_{k+1}, with pivot column
+        c, is a combination of rows of delta_{k+1}, so delta_{k+1} delta_k = 0
+        gives sum_j z[j] * (row j of delta_k) = 0.  As z[c] != 0 and every
+        other column of z is below c, row c of delta_k is a combination of
+        the rows below it; by induction upward in c, of the rows kept.
+        """
+        ranks = [0] * (len(self.dims) + 1)  # ranks[k + 1] = rank delta_k
+        cleared = ()
+        for k in reversed(range(len(self.deltas))):
+            cleared = _pivots(row for i, row in enumerate(self.deltas[k]) if i not in cleared)
+            ranks[k + 1] = len(cleared)
+        return [dim - ranks[k + 1] - ranks[k] for k, dim in enumerate(self.dims)]
 
 
 def cech_complex(nerve: Nerve) -> CochainComplex:
     """The alternating face signs make delta_{k+1} delta_k = 0 by
-    construction (Bott & Tu, Differential Forms in Algebraic Topology, §8)."""
-    top = nerve.dimension
-    levels = [nerve.simplices_of_dimension(k) for k in range(top + 1)]
-    dims = [len(level) for level in levels]
+    construction (Bott & Tu, Differential Forms in Algebraic Topology, §8).
+    ``combinations(s, k)`` drops the vertices of a k-simplex s from the last
+    to the first, so its face j drops vertex k - j, with sign (-1)^(k - j)."""
+    levels = nerve.levels
     deltas = []
-    for k in range(top):
-        lower_index = {s: i for i, s in enumerate(levels[k])}
-        rows = []
-        for s in levels[k + 1]:
-            row = [0] * dims[k]
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                row[lower_index[face]] += (-1) ** i
-            rows.append(row)
-        deltas.append(rows)
+    for k in range(1, len(levels)):
+        index = {s: i for i, s in enumerate(levels[k - 1])}
+        signs = [(-1) ** (k - j) for j in range(k + 1)]
+        deltas.append([dict(zip(map(index.__getitem__, combinations(s, k)), signs))
+                       for s in levels[k]])
     deltas.append([])
-    return CochainComplex(dims, deltas)
+    return CochainComplex([len(level) for level in levels], deltas)
 
 
 def cech_betti(nerve: Nerve):

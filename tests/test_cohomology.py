@@ -91,8 +91,11 @@ class TestCech:
             deltas = cech_complex(nerve).deltas
             for later, earlier in zip(deltas[1:], deltas):
                 for row in later:
-                    for j in range(len(earlier[0])):
-                        assert sum(a * b[j] for a, b in zip(row, earlier)) == 0
+                    total = {}
+                    for i, a in row.items():
+                        for j, b in earlier[i].items():
+                            total[j] = total.get(j, 0) + a * b
+                    assert not any(total.values())
 
     def test_euler_characteristic_consistency(self):
         for nerve in (
@@ -121,6 +124,18 @@ class TestCech:
         nerve = Nerve(3, [(0, 1, 2)])
         assert frozenset((0, 1)) in nerve.simplices
         assert frozenset((2,)) in nerve.simplices
+
+    def test_nerve_error_texts(self):
+        for make, message in (
+            (lambda: Nerve(0, []), "a nerve needs at least one vertex"),
+            (lambda: Nerve(2, [[0, 1], [0, -1]]), "simplex [-1, 0] mentions a missing vertex"),
+            (lambda: Nerve(2, [[2, 0, 2]]), "simplex [0, 2] mentions a missing vertex"),
+            (lambda: Nerve.from_json({"vertices": 2, "simplices": [[0, True]]}),
+             "nerve vertex count and simplex vertices must be integers"),
+        ):
+            with pytest.raises(ParseError) as err:
+                make()
+            assert str(err.value) == message
 
     def test_desk_scale_termination(self):
         nerve = torus_nerve()
